@@ -1,4 +1,4 @@
-(* cm-lint: determinism / correctness / shard-safety lint for the
+(* cm-lint: determinism / correctness / domain-safety lint for the
    simulation libraries — thin driver over lib/analysis (Cm_analysis).
 
    Two layers of rules:
@@ -19,7 +19,7 @@
                        sync / mutex-guarded), walks the cross-module
                        reference graph for state escaping its unit, and
                        flags unsynchronized mutable payloads crossing
-                       shard boundaries through Transport.
+                       processor boundaries through Transport.
        hot-alloc       flags closure / tuple / record / variant /
                        boxed-float / partial-application allocation
                        inside the declared hot-path set (Sim event

@@ -36,26 +36,6 @@ let effective_jobs = function
       match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | Some _ | None -> 1)
     | None -> 1)
 
-let shards_arg =
-  let doc =
-    "Partition every machine's processors across $(docv) conservative PDES shards (default: \
-     the $(b,CM_SHARDS) environment variable, or 1).  Digests and printed output are \
-     identical at any shard count; experiments whose subsystems serialize on machine-global \
-     state (shared memory, adaptive estimators, object migration, contention, faults) pin \
-     themselves to one shard."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
-
-let effective_shards = function
-  | Some n -> max 1 n
-  | None -> (
-    match Sys.getenv_opt "CM_SHARDS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | Some _ | None -> 1)
-    | None -> 1)
-
-let apply_shards shards = Cm_machine.Machine.set_default_shards (effective_shards shards)
-
 (* Run [f] with a pool of [jobs] domains (none when sequential), always
    shut down afterwards. *)
 let with_pool jobs f =
@@ -70,19 +50,17 @@ let experiment_cmd entry =
   Cmd.v
     (Cmd.info entry.Registry.id ~doc)
     Term.(
-      const (fun quick jobs shards ->
-          apply_shards shards;
+      const (fun quick jobs ->
           with_pool (effective_jobs jobs) (fun pool -> Registry.run ~quick ?pool entry))
-      $ quick_arg $ jobs_arg $ shards_arg)
+      $ quick_arg $ jobs_arg)
 
 let all_cmd =
   let doc = "Run every table and figure in paper order." in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const (fun quick jobs shards ->
-          apply_shards shards;
+      const (fun quick jobs ->
           with_pool (effective_jobs jobs) (fun pool -> Registry.run_all ~quick ?pool ()))
-      $ quick_arg $ jobs_arg $ shards_arg)
+      $ quick_arg $ jobs_arg)
 
 let list_cmd =
   let doc = "List available experiments." in
@@ -121,8 +99,7 @@ let custom_cmd =
     let doc = "Print a post-run machine report (utilizations, traffic by kind)." in
     Arg.(value & flag & info [ "detail" ] ~doc)
   in
-  let run scheme app think requesters horizon fanout detail shards =
-    apply_shards shards;
+  let run scheme app think requesters horizon fanout detail =
     match Scheme.of_string scheme with
     | Error e -> `Error (false, e)
     | Ok s ->
@@ -147,7 +124,7 @@ let custom_cmd =
     Term.(
       ret
         (const run $ scheme_arg $ app_arg $ think_arg $ requesters_arg $ horizon_arg
-       $ fanout_arg $ detail_arg $ shards_arg))
+       $ fanout_arg $ detail_arg))
 
 (* --- selfcheck: same-seed determinism proof ----------------------- *)
 
@@ -171,15 +148,19 @@ let with_captured_stdout f =
   Sys.remove tmp;
   (result, printed)
 
-(* One sanitized run of an experiment: every machine the experiment
+(* One recorded run of an experiment: every machine the experiment
    drives appends a digest of (final clock, events fired, statistics) to
-   the Check trail, and the printed report is hashed as well. *)
-let sanitized_run ?pool entry ~quick =
-  Check.set_enabled true;
+   the Check trail, and the printed report is hashed as well.  With
+   [sanitized] the Check sanitizers are on, which forces the CPS
+   reference engine; without, the run takes the frames engine — the
+   path that produces the published numbers. *)
+let recorded_run ?pool entry ~quick ~sanitized =
+  Check.set_enabled sanitized;
   Check.reset ();
   Check.Trail.set_recording true;
   let result, printed = with_captured_stdout (fun () -> Registry.run ~quick ?pool entry) in
   Check.Trail.set_recording false;
+  Check.set_enabled false;
   (result, Check.Trail.trail (), Digest.to_hex (Digest.string printed))
 
 let rec first_diff i a b =
@@ -188,51 +169,67 @@ let rec first_diff i a b =
   | x :: a', y :: b' -> if String.equal x y then first_diff (i + 1) a' b' else Some i
   | _, [] | [], _ -> Some i
 
-let selfcheck full jobs shards =
-  apply_shards shards;
+let short_digest trail = String.sub (Digest.to_hex (Digest.string (String.concat "," trail))) 0 12
+
+let short_report out = String.sub out 0 (min 12 (String.length out))
+
+let report_divergence trail1 trail2 out1 out2 =
+  (match first_diff 0 trail1 trail2 with
+  | Some i ->
+    Printf.printf "  machine-run digests diverge at run %d (%d vs %d runs recorded)\n" i
+      (List.length trail1) (List.length trail2)
+  | None -> ());
+  if not (String.equal out1 out2) then Printf.printf "  printed reports differ (%s vs %s)\n" out1 out2
+
+let selfcheck full jobs =
   let quick = not full in
   let failures = ref 0 in
   with_pool (effective_jobs jobs) (fun pool ->
       List.iter
         (fun entry ->
           let id = entry.Registry.id in
-          match (sanitized_run ?pool entry ~quick, sanitized_run ?pool entry ~quick) with
-          | (Ok (), trail1, out1), (Ok (), trail2, out2) ->
-            if trail1 = trail2 && String.equal out1 out2 then
+          let run ~sanitized = recorded_run ?pool entry ~quick ~sanitized in
+          match (run ~sanitized:true, run ~sanitized:true, run ~sanitized:false) with
+          | (Ok (), trail1, out1), (Ok (), trail2, out2), (Ok (), trail_f, out_f) ->
+            if not (trail1 = trail2 && String.equal out1 out2) then begin
+              incr failures;
+              Printf.printf "selfcheck %-10s MISMATCH between same-seed runs\n" id;
+              report_divergence trail1 trail2 out1 out2
+            end
+            else if not (trail_f = trail1 && String.equal out_f out1) then begin
+              incr failures;
+              Printf.printf
+                "selfcheck %-10s ENGINE MISMATCH: frames machines %s report %s, cps machines %s \
+                 report %s\n"
+                id (short_digest trail_f) (short_report out_f) (short_digest trail1)
+                (short_report out1);
+              report_divergence trail_f trail1 out_f out1
+            end
+            else
               (* The machine digest is printed so that a semantics-preserving
                  change (e.g. a perf PR) can diff this output against the
                  previous revision's and prove bit-identical behavior, not
-                 just within-revision reproducibility. *)
+                 just within-revision reproducibility; test/golden pins it. *)
               Printf.printf
                 "selfcheck %-10s ok: %d machine run(s) identical, machines %s report %s\n" id
-                (List.length trail1)
-                (String.sub (Digest.to_hex (Digest.string (String.concat "," trail1))) 0 12)
-                (String.sub out1 0 (min 12 (String.length out1)))
-            else begin
-              incr failures;
-              Printf.printf "selfcheck %-10s MISMATCH between same-seed runs\n" id;
-              (match first_diff 0 trail1 trail2 with
-              | Some i ->
-                Printf.printf
-                  "  machine-run digests diverge at run %d (%d vs %d runs recorded)\n" i
-                  (List.length trail1) (List.length trail2)
-              | None -> ());
-              if not (String.equal out1 out2) then
-                Printf.printf "  printed reports differ (%s vs %s)\n" out1 out2
-            end
-          | ((Error e, _, _), _ | _, (Error e, _, _)) ->
+                (List.length trail1) (short_digest trail1) (short_report out1)
+          | ((Error e, _, _), _, _ | _, (Error e, _, _), _) ->
             incr failures;
             Printf.printf "selfcheck %-10s FAILED under sanitizers: %s\n" id
+              (Printexc.to_string e)
+          | _, _, (Error e, _, _) ->
+            incr failures;
+            Printf.printf "selfcheck %-10s FAILED on the frames engine: %s\n" id
               (Printexc.to_string e))
         Registry.all);
-  Check.set_enabled false;
   Check.reset ();
   if !failures > 0 then begin
     Printf.printf "selfcheck: %d experiment(s) not reproducible\n" !failures;
     exit 1
   end
   else
-    Printf.printf "selfcheck: all %d experiments deterministic under sanitizers\n"
+    Printf.printf
+      "selfcheck: all %d experiments deterministic under sanitizers, frames engine identical\n"
       (List.length Registry.all)
 
 let selfcheck_cmd =
@@ -241,10 +238,11 @@ let selfcheck_cmd =
     Arg.(value & flag & info [ "full" ] ~doc)
   in
   let doc =
-    "Run every registered experiment twice with the same seed, all sanitizers enabled, and \
-     fail unless the two runs are bit-identical (machine digests and printed reports)."
+    "Run every registered experiment twice with the same seed and all sanitizers enabled, \
+     then once more on the frames engine with the sanitizers off, and fail unless all three \
+     runs are bit-identical (machine digests and printed reports)."
   in
-  Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg $ shards_arg)
+  Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const selfcheck $ full_arg $ jobs_arg)
 
 let () =
   let doc = "Reproduce the evaluation of Hsieh/Wang/Weihl, PPoPP 1993" in

@@ -1,10 +1,11 @@
-(* Domain-safety (shard-escape) pass.
+(* Domain-safety (domain-escape) pass.
 
-   ROADMAP item 1 shards one machine's processors across domains; that
-   is only sound if every mutable location in the libraries is owned by
-   exactly one shard, domain-local (DLS), atomic, or explicitly
-   synchronized.  This pass classifies every mutable location it can see
-   in the .cmt files and flags the ones that escape:
+   The sweep harness ([-j N], {!Cm_engine.Pool}) runs independent
+   machines on a pool of domains; that is only sound if every mutable
+   location in the libraries is owned by exactly one machine,
+   domain-local (DLS), atomic, or explicitly synchronized.  This pass
+   classifies every mutable location it can see in the .cmt files and
+   flags the ones that escape:
 
    1. *Module-init-time mutable state.*  A toplevel binding whose
       right-hand side allocates mutable state when the module is
@@ -32,8 +33,9 @@
 
    3. *Mutable payloads through the transport.*  A value whose type
       contains unsynchronized mutable components ([Transport.post]/
-      [dispatch] payload) crosses a shard boundary by construction: the
-      sender keeps a reference and the receiving shard gets another.
+      [dispatch] payload) crosses a processor boundary by construction:
+      the sender keeps a reference and the receiver gets another, so
+      the value is not owned by one processor's state.
 
    Escapes: a binding carrying [@cm.shard_safe "why"] is vetted (an
    empty justification is itself a finding), as is one suppressed with
@@ -301,7 +303,7 @@ let run (idx : Cmt_index.t) ~vetted =
                            ~detail:"escaping-payload" ~witness:[ b.b_canon; h ]
                            (Printf.sprintf
                               "payload of %s contains unsynchronized mutable state (%s): \
-                               sender and receiving shard both hold a reference"
+                               sender and receiver both hold a reference"
                               h what))
                   | _ -> ())
                 | None -> ())

@@ -41,16 +41,7 @@ let default =
       s_unit = "Cm_engine.Sim";
       s_names =
         [ "alloc"; "schedule"; "extract"; "fire"; "post"; "post_after"; "cancel";
-          "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf";
-          (* The sharded coordinator's splice points: seq draws and
-             barrier-merged arrivals run once per network message. *)
-          "take_send_seq"; "post_arrival"; "push_bucket_sorted"; "peek_slot"; "peek_time" ];
-    };
-    (* The shard mailbox/barrier path: every network send crosses [push]
-       once and [merge_one]'s sort once per window. *)
-    {
-      s_unit = "Cm_engine.Shard";
-      s_names = [ "push"; "mbox_grow"; "entry_less"; "sift_down"; "sort_idx"; "merge_one" ];
+          "ovf_push"; "ovf_pop"; "ovf_sift_up"; "ovf_sift_down"; "prune_ovf" ];
     };
     {
       s_unit = "Cm_machine.Transport";

@@ -10,7 +10,7 @@
      finding ([bad-suppress]) instead of silently doing nothing — a typo
      in a rule name used to turn the escape hatch into a no-op that
      looked intentional;
-   - rules in [justified] (the shard-safety and hot-path-allocation
+   - rules in [justified] (the domain-safety and hot-path-allocation
      passes) demand a written justification after the rule name; an
      allow comment for them with no justification text does not suppress
      and is reported as [bad-suppress]. *)

@@ -83,33 +83,41 @@ let bkt_append (b : bucket) key value =
 (* Messaging bodies (run at the bucket's home)                        *)
 (* ------------------------------------------------------------------ *)
 
-let method_get key (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  match bkt_find b key with
-  | -1 -> Thread.return None
-  | s -> Thread.return (Some b.(off_pairs + (2 * s) + 1))
+(* Each body takes its context and continuation explicitly, so the
+   bucket count behind the [bucket_work] charge is read when the body
+   runs at the home — not when the body value is built on the
+   requester, which would charge a count that may be stale by arrival.
+   The fused frame bodies below read it at the same point. *)
+let method_get key (b : bucket) c k =
+  (let* () = Thread.compute (bucket_work (bkt_count b)) in
+   match bkt_find b key with
+   | -1 -> Thread.return None
+   | s -> Thread.return (Some b.(off_pairs + (2 * s) + 1)))
+    c k
 
-let method_put capacity key value (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  match bkt_find b key with
-  | -1 ->
-    if bkt_count b >= capacity then failwith "Dht.put: bucket full"
-    else begin
-      bkt_append b key value;
-      Thread.return ()
-    end
-  | s ->
-    bkt_set b s value;
-    Thread.return ()
+let method_put capacity key value (b : bucket) c k =
+  (let* () = Thread.compute (bucket_work (bkt_count b)) in
+   match bkt_find b key with
+   | -1 ->
+     if bkt_count b >= capacity then failwith "Dht.put: bucket full"
+     else begin
+       bkt_append b key value;
+       Thread.return ()
+     end
+   | s ->
+     bkt_set b s value;
+     Thread.return ())
+    c k
 
-let method_sum (b : bucket) =
-  let* () = Thread.compute (bucket_work (bkt_count b)) in
-  let n = bkt_count b in
-  let acc = ref 0 in
-  for s = 0 to n - 1 do
-    acc := !acc + b.(off_pairs + (2 * s) + 1)
-  done;
-  Thread.return !acc
+let method_sum (b : bucket) c k =
+  (let* () = Thread.compute (bucket_work (bkt_count b)) in
+   let n = bkt_count b in
+   let acc = ref 0 in
+   for s = 0 to n - 1 do
+     acc := !acc + b.(off_pairs + (2 * s) + 1)
+   done;
+   Thread.return !acc)
+    c k
 
 (* ------------------------------------------------------------------ *)
 (* Fused method-site bodies                                           *)

@@ -164,9 +164,7 @@ let hardware_ablation () =
 
 let sm_sync_ablation () =
   let run ~sm_sync ~lock_backoff =
-    let machine =
-      Machine.create ~seed:42 ~shards:1 ~n_procs:(24 + 32) ~costs:Costs.software ()
-    in
+    let machine = Machine.create ~seed:42 ~n_procs:(24 + 32) ~costs:Costs.software () in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env ~sm_sync ~lock_backoff Counting_network.Shared_memory in
     Cm_workload.Driver.run machine
@@ -197,8 +195,7 @@ let btree_read_mode_ablation () =
   let run read_mode =
     let node_procs = 24 and requesters = 16 in
     let machine =
-      Machine.create ~seed:42 ~shards:1 ~n_procs:(node_procs + requesters)
-        ~costs:Costs.software ()
+      Machine.create ~seed:42 ~n_procs:(node_procs + requesters) ~costs:Costs.software ()
     in
     let env = Sysenv.make machine in
     let tree =
@@ -311,10 +308,7 @@ let partial_migration_ablation () =
 let contention_ablation () =
   let run ~net_contention scheme =
     let machine =
-      (* The A/B must hold everything but [net_contention] fixed, and
-         the contended half cannot shard — pin both halves. *)
-      Machine.create ~seed:42 ~shards:1 ~net_contention ~n_procs:(24 + 32)
-        ~costs:(Scheme.costs scheme) ()
+      Machine.create ~seed:42 ~net_contention ~n_procs:(24 + 32) ~costs:(Scheme.costs scheme) ()
     in
     let env = Sysenv.make machine in
     let cn = Counting_network.create env (Scheme.counting_mode scheme) in

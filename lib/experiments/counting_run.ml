@@ -10,7 +10,6 @@ let balancer_procs = 24
 let run_with_machine scheme config =
   let machine =
     Machine.create ~seed:config.seed
-      ?shards:(if Scheme.shardable scheme then None else Some 1)
       ~n_procs:(balancer_procs + config.requesters)
       ~costs:(Scheme.costs scheme) ()
   in

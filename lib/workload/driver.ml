@@ -21,16 +21,11 @@ let run machine spec request =
   let misses_at_warmup = ref 0 in
   let net = machine.Machine.net in
   let stats = machine.Machine.stats in
-  Machine.at_global machine spec.warmup (fun () ->
+  Sim.at machine.Machine.sim spec.warmup (fun () ->
       words_at_warmup := Network.total_words net;
       messages_at_warmup := Network.total_messages net;
       hits_at_warmup := Stats.get stats "cache.hits";
       misses_at_warmup := Stats.get stats "cache.misses");
-  (* "Now" for a running thread is its current processor's clock: the
-     same value [Machine.now] reads sequentially, and the only correct
-     one on a sharded machine (the thread may have migrated into a
-     shard whose window is ahead of the global clock). *)
-  let tnow c = Sim.now (Processor.sim (Thread.Frame.proc c)) in
   for i = 0 to spec.requesters - 1 do
     let req = request i in
     let started = ref 0 in
@@ -44,17 +39,17 @@ let run machine spec request =
        every digest, is unchanged. *)
     let after_req : (unit -> unit) option ref = ref None in
     Machine.spawn machine ~on:(spec.first_proc + i)
-      (Thread.while_ctx
-         (fun c -> tnow c < spec.horizon)
+      (Thread.while_
+         (fun () -> Machine.now machine < spec.horizon)
          (fun c k ->
            let after =
              match !after_req with
              | Some f -> f
              | None ->
                let f () =
-                 if tnow c >= spec.warmup then begin
+                 if Machine.now machine >= spec.warmup then begin
                    incr ops;
-                   let latency = tnow c - !started in
+                   let latency = Machine.now machine - !started in
                    latency_sum := !latency_sum + latency;
                    if latency > !latency_max then latency_max := latency
                  end;
@@ -63,7 +58,7 @@ let run machine spec request =
                after_req := Some f;
                f
            in
-           started := tnow c;
+           started := Machine.now machine;
            req c after))
   done;
   Machine.run ~until:spec.horizon machine;

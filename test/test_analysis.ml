@@ -1,5 +1,5 @@
 (* Typed-analyzer tests (lib/analysis), driven over the compiled
-   negative fixtures in test/typed_fixtures: seeded shard-escape
+   negative fixtures in test/typed_fixtures: seeded domain-escape
    violations, call-chain witnesses, module-alias evasion, the
    suppression machinery (on-line / line-above / attribute /
    allow-file / misuse audit), the hot-alloc pass under a custom

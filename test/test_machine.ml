@@ -684,6 +684,26 @@ let test_machine_proc_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Machine.proc: 4 out of range [0,4)")
     (fun () -> ignore (Machine.proc m 4))
 
+(* [~shards] survives only as a compatibility argument: 1 is the one
+   accepted value, and it builds an ordinary machine. *)
+let test_machine_shards_compat () =
+  Alcotest.check_raises "shards 2 refused"
+    (Invalid_argument "Machine.create: sharded simulation was removed; only ~shards:1 is accepted")
+    (fun () -> ignore (Machine.create ~shards:2 ~n_procs:4 ~costs:Costs.software ()));
+  let run create =
+    let m = create () in
+    let exits = ref 0 in
+    Machine.spawn m ~on:0
+      ~on_exit:(fun () -> incr exits)
+      (Thread.travel ~net:m.Machine.net ~dst:(Machine.proc m 3) ~words:8 ~kind:"m" ~recv_work:10);
+    Machine.run m;
+    Alcotest.(check int) "thread finished" 1 !exits;
+    Machine.digest m
+  in
+  Alcotest.(check string) "same machine as the default"
+    (run (fun () -> Machine.create ~n_procs:4 ~costs:Costs.software ()))
+    (run (fun () -> Machine.create ~shards:1 ~n_procs:4 ~costs:Costs.software ()))
+
 (* ------------------------------------------------------------------ *)
 (* Engine oracle: frames vs CPS                                       *)
 (* ------------------------------------------------------------------ *)
@@ -833,6 +853,7 @@ let () =
           Alcotest.test_case "spawn on_exit" `Quick test_machine_spawn_on_exit;
           Alcotest.test_case "determinism" `Quick test_machine_determinism;
           Alcotest.test_case "proc bounds" `Quick test_machine_proc_bounds;
+          Alcotest.test_case "shards compatibility" `Quick test_machine_shards_compat;
         ]
         @ qsuite [ prop_engine_oracle ] );
     ]

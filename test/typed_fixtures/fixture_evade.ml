@@ -9,8 +9,8 @@ module N = Cm_machine.Network
 (* V7: raw network send hidden behind a local module alias. *)
 let evade net ~src ~dst = ignore (N.send net ~src ~dst ~words:4 ~kind:"sneaky" (fun () -> ()))
 
-(* V8: mutable payload crossing the transport — sender and receiving
-   shard both hold a reference to the same record. *)
+(* V8: mutable payload crossing the transport — sender and receiver
+   both hold a reference to the same record. *)
 type req = { mutable seen : int; id : int }
 
 let read_req r = r.seen + r.id
