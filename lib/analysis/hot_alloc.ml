@@ -56,14 +56,16 @@ let default =
        left the declared hot set when the per-object consumers migrated
        to frames (PR 10).  What is hot now is the frame machinery
        itself: the travel steps and the m-lane register accessors the
-       fused method sites write through. *)
+       fused method sites write through, plus context reuse: every RPC
+       starts a server thread, so the exit-side [recycle] and the
+       spawn-side [respawn] run once per call. *)
     {
       s_unit = "Cm_machine.Thread";
       s_names =
         [ "return"; "travel_k"; "travel"; "frame_travel"; "yield"; "sleep"; "compute";
           "setm0"; "setm1"; "setm2"; "setm3"; "setm4";
           "getm0"; "getm1"; "getm2"; "getm3"; "getm4";
-          "setms"; "getms"; "setmv"; "getmv" ];
+          "setms"; "getms"; "setmv"; "getmv"; "respawn"; "recycle" ];
     };
     { s_unit = "Cm_machine.Processor";
       s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
@@ -108,7 +110,8 @@ let default =
     (* The per-op samplers both bench arms share: a boxed draw here taxes
        fused and generic alike and masks the A/B ratio (the PR 10 limb
        rewrite of Rng exists precisely to keep these clean). *)
-    { s_unit = "Cm_engine.Rng"; s_names = [ "step"; "int"; "bits53"; "float"; "bool" ] };
+    { s_unit = "Cm_engine.Rng";
+      s_names = [ "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };
   ]
 

@@ -16,6 +16,12 @@ val split : t -> t
     Used to give each simulated thread its own stream so that adding a
     consumer does not perturb the draws seen by others. *)
 
+val split_into : src:t -> dst:t -> unit
+(** [split_into ~src ~dst] is {!split} without the allocation: it takes
+    the same step on [src] and overwrites [dst] with the derived
+    generator, so [dst] then draws exactly the stream [split src] would
+    have.  Used to rebind a reused thread context's stream. *)
+
 val int64 : t -> int64
 (** [int64 t] is the next raw 64-bit output. *)
 

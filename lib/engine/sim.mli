@@ -53,6 +53,11 @@ val handler : t -> (int -> unit) -> hid
 (** [handler t f] registers [f] in [t]'s handler table (typically once,
     at subsystem construction) and returns its id. *)
 
+val handler_count : t -> int
+(** [handler_count t] is the number of handlers registered with [t] so
+    far.  Registrations are never undone, so a count that grows with the
+    length of a run means a per-operation registration. *)
+
 val nil_handler : hid
 (** A handler id registered with no simulator, for initializing slots
     before the real registration happens (knot-tying constructors).

@@ -8,8 +8,9 @@ open Cm_engine
    - the {e frame} engine (default): suspensions are defunctionalized
      into the per-thread frame slots below — a suspension stores a step
      function and its operands into the context and hands the scheduler
-     one of two closures preallocated at spawn, so the steady state
-     allocates nothing;
+     one of two closures built with the context, so the steady state
+     allocates nothing (and an exited context is reused by the next
+     spawn, see "context lifecycle" below);
 
    - the {e CPS} engine: the original closure-per-suspension paths,
      retained verbatim as the reference semantics for the qcheck
@@ -32,19 +33,19 @@ open Cm_engine
      exactly.  [Transport.configure_faults] flips the machine's engine
      off and [clear_faults] restores it. *)
 
-type engine = { mutable frames_ok : bool; frames_wanted : bool }
-
-let cps_engine () = { frames_ok = false; frames_wanted = false }
-
-let frames_engine () = { frames_ok = true; frames_wanted = true }
-
-let disable_frames e = e.frames_ok <- false
-
-let restore_frames e = e.frames_ok <- e.frames_wanted
-
-let frames_enabled e = e.frames_ok
-
 let obj_unit : Obj.t = Obj.repr 0
+
+(* An engine also owns the machine's pool of exited thread contexts
+   (see "context lifecycle" below): [spare.(0 .. n_spare - 1)] are
+   contexts ready for reuse.  [recycle_ok] is sticky — a frames engine
+   starts with it set, and {!disable_frames} clears it for good. *)
+type engine = {
+  mutable frames_ok : bool;
+  frames_wanted : bool;
+  mutable recycle_ok : bool;
+  mutable spare : ctx array;
+  mutable n_spare : int;
+}
 
 (* Field order is load-bearing for performance only: OCaml lays record
    fields out in declaration order, and a steady-state suspension touches
@@ -52,7 +53,7 @@ let obj_unit : Obj.t = Obj.repr 0
    scheduler closures — putting those first packs the whole hot set into
    the record's leading cache lines.  Cold identity/bookkeeping fields
    trail. *)
-type ctx = {
+and ctx = {
   mutable location : Processor.t;
   eng : engine;
   (* Defunctionalized continuation frame.  A thread is sequential, so at
@@ -67,15 +68,17 @@ type ctx = {
   mutable f_kop : ctx -> Obj.t -> unit;
   mutable f_k : Obj.t;
   mutable f_v0 : Obj.t;
-  (* The two scheduler-facing closures, preallocated at spawn: every
-     frame suspension re-points [f_op]/[f_kop] and hands one of these
-     out, so resuming allocates nothing. *)
+  (* The two scheduler-facing closures, built once when the context is
+     first allocated and kept across its reuses: every frame suspension
+     re-points [f_op]/[f_kop] and hands one of these out, so resuming
+     allocates nothing. *)
   mutable run_op : unit -> unit;
   mutable run_kop : Obj.t -> unit;
-  (* The thread's pooled [Sim] handler, registered once at spawn: frame
-     holds and network deliveries post (op_hid, 0) instead of storing
-     [run_op] into the event, so the steady-state event pool carries only
-     ints — no closure store (and no write barrier) per event. *)
+  (* The context's pooled [Sim] handler, registered once when the
+     context is first allocated: frame holds and network deliveries post
+     (op_hid, 0) instead of storing [run_op] into the event, so the
+     steady-state event pool carries only ints — no closure store (and
+     no write barrier) per event. *)
   mutable op_hid : Sim.hid;
   mutable f_dst : Processor.t;
   mutable f_i0 : int;
@@ -100,11 +103,27 @@ type ctx = {
   mutable f_mi4 : int;
   mutable f_ms : Obj.t;
   mutable f_mv : Obj.t;
-  thread_id : int;
-  stream : Rng.t;
-  exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
+  mutable thread_id : int;
+  mutable stream : Rng.t;
+  mutable exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
   mutable run_exit : Obj.t -> unit;
 }
+
+let cps_engine () =
+  { frames_ok = false; frames_wanted = false; recycle_ok = false; spare = [||]; n_spare = 0 }
+
+let frames_engine () =
+  { frames_ok = true; frames_wanted = true; recycle_ok = true; spare = [||]; n_spare = 0 }
+
+let disable_frames e =
+  e.frames_ok <- false;
+  e.recycle_ok <- false
+
+let restore_frames e = e.frames_ok <- e.frames_wanted
+
+let frames_enabled e = e.frames_ok
+
+let spare_contexts e = e.n_spare
 
 let nop_op (_ : ctx) = ()
 
@@ -259,6 +278,25 @@ let travel ~net ~dst ~words ~kind ~recv_work c k =
 
 (* --- spawning ------------------------------------------------------- *)
 
+(* Context lifecycle.  A context is allocated together with its two
+   scheduler closures, its exit closure and its [Sim] handler, all of
+   which capture it — the handler table alone would keep every context
+   reachable for the life of the machine, one per spawn (and every RPC
+   spawns a server thread).  Instead, an exited context goes back on its
+   engine's spare stack ([recycle]) and the engine's next spawn reuses
+   it ([respawn]): closures and handler stay, every frame slot was reset
+   at exit, and the identity (tid, stream, on_exit, location) is
+   rebound, so a reused context starts exactly as a fresh one does.
+
+   Recycling is safe only while nothing can invoke an exited thread's
+   closures again.  On a frames engine with sanitizers off every
+   resumption fires once; a CPS resumption or a fault-duplicated
+   delivery may fire after the thread exited.  So an engine that ever
+   left frames mode ([disable_frames]: faults armed) never recycles
+   again, and an exit under [Check] does not recycle.  The push happens
+   after [Processor.release], which only posts the next dispatch, so
+   nothing re-enters the context before it is on the stack. *)
+
 let default_exit (_ : Obj.t) = ()
 
 (* First dispatch of a fresh thread: the body and its finish
@@ -271,23 +309,62 @@ let start_step c =
   c.f_k <- obj_unit;
   body c fin
 
-(* Tid assignment belongs to the machine instance (Machine.spawn numbers
-   threads from a per-machine counter): a process-global fallback here
-   used to bleed tids — and with them the default RNG seeds — from one
-   run into the next within a process, and would race across pool
-   domains.  Callers now always say which tid they mean. *)
-let spawn ~tid ?rng ?on_exit ?engine p body =
-  let thread_id = tid in
-  let stream = match rng with Some r -> r | None -> Rng.create ~seed:(thread_id + 1) in
-  let eng = match engine with Some e -> e | None -> frames_engine () in
-  let exit_fn =
-    match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
-  in
+(* Exit side: reset every frame slot to its fresh value — no stale
+   payload stays reachable — and push the context on the spare stack. *)
+let recycle c =
+  let e = c.eng in
+  if e.recycle_ok && not (Check.enabled ()) then begin
+    c.f_op <- nop_op;
+    c.f_kop <- nop_kop;
+    c.f_k <- obj_unit;
+    c.f_v0 <- obj_unit;
+    c.f_v1 <- obj_unit;
+    c.f_v2 <- obj_unit;
+    c.f_v3 <- obj_unit;
+    c.f_i0 <- 0;
+    c.f_i1 <- 0;
+    c.f_i2 <- 0;
+    c.f_i3 <- 0;
+    c.f_after <- nop_op;
+    c.f_after2 <- nop_op;
+    c.f_mi0 <- 0;
+    c.f_mi1 <- 0;
+    c.f_mi2 <- 0;
+    c.f_mi3 <- 0;
+    c.f_mi4 <- 0;
+    c.f_ms <- obj_unit;
+    c.f_mv <- obj_unit;
+    c.exit_fn <- default_exit;
+    if e.n_spare = Array.length e.spare then begin
+      let spare = Array.make (max 8 (2 * e.n_spare)) c in
+      Array.blit e.spare 0 spare 0 e.n_spare;
+      e.spare <- spare
+    end;
+    e.spare.(e.n_spare) <- c;
+    e.n_spare <- e.n_spare + 1
+  end
+
+(* Spawn side, non-empty pool: pop a spare context and rebind its
+   identity.  The stream is split from [split_from] into the context's
+   own [Rng.t] — the same step [Rng.split] takes — so reuse allocates
+   nothing and draws the stream a fresh context would. *)
+let respawn e ~tid ~split_from exit_fn p =
+  let n = e.n_spare - 1 in
+  let c = e.spare.(n) in
+  e.n_spare <- n;
+  c.thread_id <- tid;
+  Rng.split_into ~src:split_from ~dst:c.stream;
+  c.exit_fn <- exit_fn;
+  c.location <- p;
+  c.f_dst <- p;
+  c
+
+let fresh eng ~tid ~split_from exit_fn p =
   let c =
     {
-      thread_id;
+      thread_id = tid;
       location = p;
-      stream;
+      stream = Rng.split split_from;
       eng;
       exit_fn;
       f_op = nop_op;
@@ -323,16 +400,25 @@ let spawn ~tid ?rng ?on_exit ?engine p body =
   c.run_exit <-
     (fun v ->
       c.exit_fn v;
-      Processor.release c.location);
-  let finish : Obj.t -> unit =
-    if Check.enabled () then
-      guard "Thread.spawn exit" c (fun v ->
-          c.exit_fn v;
-          Processor.release c.location)
-    else c.run_exit
+      Processor.release c.location;
+      recycle c);
+  c
+
+(* Tid assignment belongs to the machine instance (Machine.spawn numbers
+   threads from a per-machine counter), never to process-global state,
+   which would bleed tids from one run into the next within a process
+   and race across pool domains.  Callers always say which tid they
+   mean. *)
+let spawn ~tid ~split_from ~engine ?on_exit p body =
+  let exit_fn =
+    match on_exit with Some f -> (Obj.magic f : Obj.t -> unit) | None -> default_exit
+  in
+  let c =
+    if engine.n_spare > 0 then respawn engine ~tid ~split_from exit_fn p
+    else fresh engine ~tid ~split_from exit_fn p
   in
   c.f_v0 <- Obj.repr body;
-  c.f_k <- Obj.repr finish;
+  c.f_k <- Obj.repr (guard "Thread.spawn exit" c c.run_exit);
   c.f_op <- start_step;
   Processor.enqueue p c.run_op
 

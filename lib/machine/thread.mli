@@ -39,12 +39,19 @@ val cps_engine : unit -> engine
 (** A fresh engine forcing the CPS reference paths. *)
 
 val disable_frames : engine -> unit
-(** Dynamically force the CPS paths (used while faults are armed). *)
+(** Dynamically force the CPS paths (used while faults are armed).  Also
+    stops, for the rest of the engine's life, the reuse of exited thread
+    contexts (see {!spawn}). *)
 
 val restore_frames : engine -> unit
-(** Undo {!disable_frames}, restoring the engine's configured variant. *)
+(** Undo {!disable_frames}, restoring the engine's configured variant.
+    Context reuse stays off. *)
 
 val frames_enabled : engine -> bool
+
+val spare_contexts : engine -> int
+(** The number of exited thread contexts waiting on [engine]'s spare
+    stack for reuse by the next {!spawn}. *)
 
 type 'a t = ctx -> ('a -> unit) -> unit
 (** A computation producing an ['a], parameterized by the thread context
@@ -129,23 +136,34 @@ val travel_k :
 
 val spawn :
   tid:int ->
-  ?rng:Rng.t ->
+  split_from:Rng.t ->
+  engine:engine ->
   ?on_exit:('a -> unit) ->
-  ?engine:engine ->
   Processor.t ->
   'a t ->
   unit
-(** [spawn ~tid proc body] creates thread [tid] and queues it on
-    [proc].  When [body] finishes with value [v], [on_exit v] runs and
-    the CPU is released.  [tid] is required: thread numbering is owned
-    by the machine instance ({!Machine.spawn} numbers from a
-    per-machine counter), never by process-global state, so tids — and
-    the default per-thread RNG seeds derived from them — restart at
-    every [Machine.create] and cannot bleed across runs or domains.
-    When [rng] is omitted the stream is seeded with [tid + 1].  [engine]
-    selects the execution engine (a fresh frame engine when omitted);
-    [Machine.spawn] passes its machine's engine so fault gating applies
-    to every thread of the machine. *)
+(** [spawn ~tid ~split_from ~engine proc body] creates thread [tid] and
+    queues it on [proc].  When [body] finishes with value [v], [on_exit
+    v] runs and the CPU is released.  [tid] is required: thread
+    numbering is owned by the machine instance ({!Machine.spawn} numbers
+    from a per-machine counter), never by process-global state, so tids
+    restart at every [Machine.create] and cannot bleed across runs or
+    domains.  The thread's random stream is split from [split_from]
+    (one {!Rng.split} step, taken here).  [Machine.spawn] passes its
+    machine's engine, so fault gating applies to every thread of the
+    machine.
+
+    A thread's context — its frame, its scheduler closures and its
+    pooled [Sim] handler — is allocated once and reused: at exit it goes
+    back on [engine]'s spare stack with every frame slot reset, and
+    [spawn] pops a spare context before allocating a new one.  So an
+    engine's threads must all run on one machine's processors (a spare
+    context's handler is registered with that machine's simulator).
+    Reuse is only done on a frames engine that never left frames mode
+    ({!disable_frames}) and for exits with sanitizers off: there, no
+    resumption of an exited thread can still fire.  A reused context is
+    indistinguishable from a fresh one — same tid sequence, same stream,
+    same events. *)
 
 (** {1 Combinators} *)
 
@@ -177,7 +195,7 @@ val ignore_m : 'a t -> unit t
     chains.  A {e step} is a statically-allocated [ctx -> unit] (or
     [ctx -> Obj.t -> unit]) function reading its operands from the frame
     slots; suspending stores the step and operands and hands the
-    scheduler one of the two closures preallocated at spawn.
+    scheduler one of the two closures built with the context.
 
     Discipline (DESIGN.md §15): slots are only valid across {e one}
     suspension — every step must read what it needs into locals before

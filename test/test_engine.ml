@@ -128,6 +128,20 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 5)
 
+(* [split_into] is [split] written into an existing generator: the
+   derived stream, and the parent's continuation, must match draw for
+   draw — whatever [dst] held before. *)
+let test_rng_split_into_matches_split () =
+  let a = Rng.create ~seed:77 and b = Rng.create ~seed:77 in
+  let child = Rng.split a in
+  let dst = Rng.create ~seed:12345 in
+  ignore (Rng.int64 dst);
+  Rng.split_into ~src:b ~dst;
+  for _ = 1 to 10_000 do
+    Alcotest.(check int64) "child streams equal" (Rng.int64 child) (Rng.int64 dst)
+  done;
+  Alcotest.(check int64) "parents advanced alike" (Rng.int64 a) (Rng.int64 b)
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create ~seed:13 in
   let a = Array.init 50 (fun i -> i) in
@@ -717,6 +731,7 @@ let () =
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "split_into = split" `Quick test_rng_split_into_matches_split;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick member" `Quick test_rng_pick;
           Alcotest.test_case "limbs match Int64 reference" `Quick

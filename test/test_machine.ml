@@ -705,6 +705,104 @@ let test_machine_shards_compat () =
     (run (fun () -> Machine.create ~shards:1 ~n_procs:4 ~costs:Costs.software ()))
 
 (* ------------------------------------------------------------------ *)
+(* Thread context reuse                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Registers an RPC endpoint pair on [m]; the returned function runs
+   [n] sequential calls from processor 0 to processor 1 (each starting a
+   server thread there) to quiescence and returns the server tids in
+   call order. *)
+let rpc_client m =
+  let tp = Machine.transport m in
+  let req = Transport.kind tp "rpc" in
+  Transport.Endpoint.register_all tp ~kind:req (fun server -> server);
+  let reply = Transport.kind tp "rpc_reply" in
+  fun n ->
+    let tids = ref [] in
+    Machine.spawn m ~on:0
+      (Thread.repeat n (fun _ ->
+           Thread.ignore_m
+             (Transport.call tp ~req ~reply ~dst:1 ~args_words:8 ~result_words:8
+                (let* tid = Thread.tid in
+                 tids := tid :: !tids;
+                 Thread.compute 10))));
+    Machine.run m;
+    List.rev !tids
+
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | _ -> true
+
+(* Every RPC spawns a server thread, and each context registers a [Sim]
+   handler.  Exited contexts are reused, so 10^4 sequential calls leave
+   the handler table (and the heap) at a constant size instead of one
+   entry per call. *)
+let test_rpc_reuses_contexts () =
+  let m = Machine.create ~seed:3 ~engine:Machine.Frames ~n_procs:4 ~costs:Costs.software () in
+  let calls = rpc_client m in
+  let before = Sim.handler_count m.Machine.sim in
+  let tids = calls 10_000 in
+  Alcotest.(check int) "every call served" 10_000 (List.length tids);
+  let grown = Sim.handler_count m.Machine.sim - before in
+  Alcotest.(check bool) (Printf.sprintf "handler table bounded (grew by %d)" grown) true (grown < 8);
+  Alcotest.(check bool) "tids strictly increasing" true (strictly_increasing tids);
+  Alcotest.(check bool) "exited contexts pooled" true (Thread.spare_contexts m.Machine.eng > 0)
+
+(* A reused context starts exactly as a fresh one: same tid sequence and
+   the same random stream as the corresponding spawn on a CPS machine,
+   which never reuses. *)
+let test_reused_context_stream () =
+  let draws = 1000 in
+  let run engine =
+    let m = Machine.create ~seed:9 ~engine ~n_procs:2 ~costs:Costs.software () in
+    let ctxs = ref [] and out = ref [] in
+    let body : unit Thread.t =
+     fun c k ->
+      ctxs := c :: !ctxs;
+      let r = Thread.Frame.rng c in
+      out := List.init draws (fun _ -> Rng.int r 1_000_000) :: !out;
+      Thread.tid c (fun tid ->
+          out := [ tid ] :: !out;
+          k ())
+    in
+    Machine.spawn m ~on:0 body;
+    Machine.run m;
+    Machine.spawn m ~on:1 body;
+    Machine.run m;
+    (!ctxs, List.rev !out)
+  in
+  let frames_ctxs, frames_out = run Machine.Frames in
+  let cps_ctxs, cps_out = run Machine.Cps in
+  (match frames_ctxs with
+  | [ second; first ] -> Alcotest.(check bool) "frames reused the context" true (second == first)
+  | _ -> Alcotest.fail "expected two threads");
+  (match cps_ctxs with
+  | [ second; first ] -> Alcotest.(check bool) "cps allocated afresh" false (second == first)
+  | _ -> Alcotest.fail "expected two threads");
+  Alcotest.(check (list (list int))) "streams and tids equal a fresh spawn's" cps_out frames_out
+
+(* Duplicate delivery can resume an exited thread, so arming faults
+   stops reuse for the machine's lifetime — also after [clear_faults] —
+   and the run stays identical to the CPS reference. *)
+let test_faults_stop_reuse () =
+  let dup = { Transport.drop = 0.0; duplicate = 1.0; delay = 0.0; delay_cycles = 0 } in
+  let run engine =
+    let m = Machine.create ~seed:5 ~engine ~n_procs:4 ~costs:Costs.software () in
+    let calls = rpc_client m in
+    let tp = Machine.transport m in
+    Transport.configure_faults tp ~seed:3 [ ("rpc", dup) ];
+    let (_ : int list) = calls 3 in
+    Alcotest.(check bool) "requests duplicated" true
+      (Transport.delivered tp "rpc" > Transport.posted tp "rpc");
+    Alcotest.(check int) "no reuse under faults" 0 (Thread.spare_contexts m.Machine.eng);
+    Transport.clear_faults tp;
+    let (_ : int list) = calls 50 in
+    Alcotest.(check int) "no reuse after clear_faults" 0 (Thread.spare_contexts m.Machine.eng);
+    Machine.digest m
+  in
+  Alcotest.(check string) "frames digest = cps digest" (run Machine.Cps) (run Machine.Frames)
+
+(* ------------------------------------------------------------------ *)
 (* Engine oracle: frames vs CPS                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -851,6 +949,9 @@ let () =
       ( "machine",
         [
           Alcotest.test_case "spawn on_exit" `Quick test_machine_spawn_on_exit;
+          Alcotest.test_case "rpc reuses contexts" `Quick test_rpc_reuses_contexts;
+          Alcotest.test_case "reused context stream" `Quick test_reused_context_stream;
+          Alcotest.test_case "faults stop reuse" `Quick test_faults_stop_reuse;
           Alcotest.test_case "determinism" `Quick test_machine_determinism;
           Alcotest.test_case "proc bounds" `Quick test_machine_proc_bounds;
           Alcotest.test_case "shards compatibility" `Quick test_machine_shards_compat;
