@@ -69,6 +69,11 @@ let default =
     };
     { s_unit = "Cm_machine.Processor";
       s_names = [ "run_head"; "dispatch"; "enqueue"; "release"; "hold"; "charge" ] };
+    (* Every send's latency: the hop count reads the per-processor
+       coordinate tables, so neither it nor the accounting around it
+       may box a coordinate or build a closure. *)
+    { s_unit = "Cm_machine.Topology"; s_names = [ "check"; "hops"; "axis_dist"; "ring_dist" ] };
+    { s_unit = "Cm_machine.Network"; s_names = [ "accounted_latency" ] };
     (* The flat object space: home/state lookups and moves sit on every
        remote access's fast path, and at 10^6 objects any per-lookup box
        (a tuple key, a sprintf on the success path) is a regression the
@@ -81,9 +86,13 @@ let default =
        they are the CPS *reference* bodies (generic path and sanitizer
        fall-back); the fused frame bodies run through [ms_bucket] and
        the bkt_* scans below. *)
+    (* [bkt_insert] is the room-check fast arm of an append; its
+       out-of-line growth arm [bkt_grow] allocates by design (amortized
+       doubling, bounded by the capacity) and is enrolled so that any
+       allocation beyond the justified copy is still caught. *)
     { s_unit = "Cm_apps.Dht";
       s_names = [ "bkt_count"; "bkt_find"; "bkt_find_from"; "bkt_set"; "bkt_append";
-                  "ms_bucket" ] };
+                  "bucket_at"; "bkt_insert"; "bkt_grow"; "ms_bucket" ] };
     (* The fused per-object call path (PR 10): static-site and
        method-site steps walk frame registers only — every binding here
        must stay allocation-free or the >=10x sites A/B floor erodes. *)

@@ -17,12 +17,21 @@ let bucket_work n = 40 + (6 * n)
 
 (* Bucket layout, shared by every representation: word 0 = entry count,
    then (key, value) pairs.  The messaging/adaptive reprs hold it as one
-   flat int array per bucket (a single unboxed block, preallocated at
-   capacity — steady-state puts allocate nothing); the shared-memory
-   repr holds the same layout in simulated coherent memory. *)
+   flat int array per bucket — the object's payload — that starts with
+   room for [initial_pairs] pairs and doubles, up to the capacity, when
+   an append finds it full.  A put that overwrites a key allocates
+   nothing.  The shared-memory repr holds the same layout in simulated
+   coherent memory, at capacity. *)
 let off_count = 0
 
 let off_pairs = 1
+
+(* A full-geometry dht_zipf table averages ~15 pairs per bucket, so
+   preallocating the default capacity of 64 left three quarters of
+   every block dead.  Starting at 16 pairs, most such buckets never
+   grow: every replaced block is garbage the major GC would otherwise
+   still be sweeping when the simulation starts. *)
+let initial_pairs = 16
 
 type bucket = int array
 
@@ -53,7 +62,11 @@ type t = { env : Sysenv.t; buckets : int; capacity : int; repr : repr }
 
 let n_buckets t = t.buckets
 
-let bucket_of_key t key = abs (key * 2654435761) mod t.buckets
+let space t = Prelude.space t.env.Sysenv.prelude
+
+(* The [land max_int] only changes the one hash [abs] cannot make
+   non-negative, [min_int] (the hash of key [min_int] alone), to 0. *)
+let bucket_of_key t key = (abs (key * 2654435761) land max_int) mod t.buckets
 
 (* ------------------------------------------------------------------ *)
 (* Flat-bucket primitives                                             *)
@@ -79,38 +92,60 @@ let bkt_append (b : bucket) key value =
   b.(off_pairs + (2 * n) + 1) <- value;
   b.(off_count) <- n + 1
 
+(* The bucket's current payload.  Growth replaces it, so every body
+   reads it here, at the home when it runs — a bucket captured on the
+   requester may be dead by the time the request arrives. *)
+let bucket_at space obj : bucket = Obj.obj (Objspace.state space (Objspace.id_of_int obj))
+
+(* A full block: raise at the capacity, else double (capped) and make
+   the copy the object's payload.  Out of line so [bkt_insert]'s room
+   check stays a compare and the three stores of [bkt_append]. *)
+let[@inline never] bkt_grow space obj capacity (b : bucket) key value ~full =
+  let n = bkt_count b in
+  if n >= capacity then failwith full
+  else begin
+    (* lint: allow hot-alloc amortized doubling, bounded by the capacity: at most log2(capacity / initial_pairs) copies per bucket, none once a bucket has stopped growing *)
+    let g = Array.make (off_pairs + (2 * min capacity (2 * n))) 0 in
+    Array.blit b 0 g 0 (Array.length b);
+    Objspace.set_state space (Objspace.id_of_int obj) (Obj.repr g);
+    bkt_append g key value
+  end
+
+(* Append a new key to bucket [b], the payload of object [obj]. *)
+let bkt_insert space obj capacity (b : bucket) key value ~full =
+  if off_pairs + (2 * bkt_count b) < Array.length b then bkt_append b key value
+  else bkt_grow space obj capacity b key value ~full
+
 (* ------------------------------------------------------------------ *)
 (* Messaging bodies (run at the bucket's home)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each body takes its context and continuation explicitly, so the
-   bucket count behind the [bucket_work] charge is read when the body
-   runs at the home — not when the body value is built on the
-   requester, which would charge a count that may be stale by arrival.
-   The fused frame bodies below read it at the same point. *)
-let method_get key (b : bucket) c k =
-  (let* () = Thread.compute (bucket_work (bkt_count b)) in
+(* Each body takes the bucket's object id, its context and its
+   continuation explicitly, so the bucket — and the count behind the
+   [bucket_work] charge — is read when the body runs at the home, not
+   when the body value is built on the requester: by arrival the count
+   may be stale and the block itself replaced by growth.  The fused
+   frame bodies below read it at the same points. *)
+let method_get space key obj c k =
+  (let* () = Thread.compute (bucket_work (bkt_count (bucket_at space obj))) in
+   let b = bucket_at space obj in
    match bkt_find b key with
    | -1 -> Thread.return None
    | s -> Thread.return (Some b.(off_pairs + (2 * s) + 1)))
     c k
 
-let method_put capacity key value (b : bucket) c k =
-  (let* () = Thread.compute (bucket_work (bkt_count b)) in
-   match bkt_find b key with
-   | -1 ->
-     if bkt_count b >= capacity then failwith "Dht.put: bucket full"
-     else begin
-       bkt_append b key value;
-       Thread.return ()
-     end
-   | s ->
-     bkt_set b s value;
-     Thread.return ())
+let method_put space capacity key value obj c k =
+  (let* () = Thread.compute (bucket_work (bkt_count (bucket_at space obj))) in
+   let b = bucket_at space obj in
+   (match bkt_find b key with
+   | -1 -> bkt_insert space obj capacity b key value ~full:"Dht.put: bucket full"
+   | s -> bkt_set b s value);
+   Thread.return ())
     c k
 
-let method_sum (b : bucket) c k =
-  (let* () = Thread.compute (bucket_work (bkt_count b)) in
+let method_sum space obj c k =
+  (let* () = Thread.compute (bucket_work (bkt_count (bucket_at space obj))) in
+   let b = bucket_at space obj in
    let n = bkt_count b in
    let acc = ref 0 in
    for s = 0 to n - 1 do
@@ -129,8 +164,7 @@ let method_sum (b : bucket) c k =
    allocates nothing (the [Some value] of a successful get aside).
    The per-site step closures below are built once per table. *)
 
-let ms_bucket space c : bucket =
-  Obj.obj (Objspace.state space (Objspace.id_of_int (Runtime.msite_obj c)))
+let ms_bucket space c = bucket_at space (Runtime.msite_obj c)
 
 let get_frame_body space =
   let done_ c =
@@ -149,8 +183,8 @@ let put_frame_body space capacity =
     let key = Runtime.msite_arg_a c in
     (match bkt_find b key with
     | -1 ->
-      if bkt_count b >= capacity then failwith "Dht.put: bucket full"
-      else bkt_append b key (Runtime.msite_arg_b c)
+      bkt_insert space (Runtime.msite_obj c) capacity b key (Runtime.msite_arg_b c)
+        ~full:"Dht.put: bucket full"
     | s -> bkt_set b s (Runtime.msite_arg_b c));
     Runtime.msite_finish c ()
   in
@@ -180,44 +214,42 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ?(fused = true) ~mode ~no
   if buckets <= 0 then invalid_arg "Dht.create: buckets must be positive";
   if Array.length node_procs = 0 then invalid_arg "Dht.create: no node processors";
   let home i = node_procs.(i mod Array.length node_procs) in
-  let fresh_bucket () = Array.make (off_pairs + (2 * bucket_capacity)) 0 in
+  let p = env.Sysenv.prelude in
+  let space = Prelude.space p in
+  let make_buckets () =
+    Array.init buckets (fun i ->
+        Prelude.make_obj p ~home:(home i)
+          (Array.make (off_pairs + (2 * min initial_pairs bucket_capacity)) 0 : bucket))
+  in
   let repr =
     match mode with
     | Messaging access ->
-      let p = env.Sysenv.prelude in
       let rt = Sysenv.runtime env in
-      let objs =
-        Array.init buckets (fun i -> Prelude.make_obj p ~home:(home i) (fresh_bucket ()))
-      in
-      let space = Prelude.space p in
-      let state obj : bucket = Obj.obj (Objspace.state space (Objspace.id_of_int obj)) in
       Msg
         {
           rt;
           access;
-          objs;
+          objs = make_buckets ();
           fused;
           get_ms =
             Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
               ~frame_body:(get_frame_body space)
-              ~cps_body:(fun ~obj ~a ~b:_ -> method_get a (state obj));
+              ~cps_body:(fun ~obj ~a ~b:_ -> method_get space a obj);
           put_ms =
             Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
               ~frame_body:(put_frame_body space bucket_capacity)
-              ~cps_body:(fun ~obj ~a ~b -> method_put bucket_capacity a b (state obj));
+              ~cps_body:(fun ~obj ~a ~b -> method_put space bucket_capacity a b obj);
           sum_ms =
             Runtime.msite rt ~access ~space ~args_words:8 ~result_words:2
               ~frame_body:(sum_frame_body space)
-              ~cps_body:(fun ~obj ~a:_ ~b:_ -> method_sum (state obj));
+              ~cps_body:(fun ~obj ~a:_ ~b:_ -> method_sum space obj);
         }
     | Adaptive ->
       let ad = Adaptive.create (Sysenv.runtime env) ~explore:6 () in
       Adapt
         {
           ad;
-          objs =
-            Array.init buckets (fun i ->
-                Prelude.make_obj env.Sysenv.prelude ~home:(home i) (fresh_bucket ()));
+          objs = make_buckets ();
           get_site = Adaptive.site ad ~name:"dht.get";
           put_site = Adaptive.site ad ~name:"dht.put";
           scan_site = Adaptive.site ad ~name:"dht.range_sum";
@@ -242,15 +274,15 @@ let create env ?(buckets = 64) ?(bucket_capacity = 64) ?(fused = true) ~mode ~no
 
 let obj_home p objs i = Prelude.obj_home p objs.(i)
 
-let msg_call p rt ~access objs i body =
+let msg_call p rt ~access (objs : bucket Prelude.obj array) i body =
   Runtime.scope rt ~result_words:2
     (Runtime.call rt ~access ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-       (body (Prelude.obj_state p objs.(i))))
+       (body (objs.(i) :> int)))
 
-let adapt_call p ad ~site objs i body =
+let adapt_call p ad ~site (objs : bucket Prelude.obj array) i body =
   Adaptive.scope ad
     (Adaptive.call ad ~site ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-       (body (Prelude.obj_state p objs.(i))))
+       (body (objs.(i) :> int)))
 
 (* Shared-memory bucket search: scan the pair area under the bucket
    lock, reading every key it passes. *)
@@ -314,10 +346,10 @@ let get t key c k =
   | Msg { rt; access; objs; fused; get_ms; _ } ->
     let i = bucket_of_key t key in
     if fused then Runtime.msite_scoped get_ms ~obj:(objs.(i) :> int) ~a:key ~b:0 c k
-    else msg_call t.env.Sysenv.prelude rt ~access objs i (method_get key) c k
+    else msg_call t.env.Sysenv.prelude rt ~access objs i (method_get (space t) key) c k
   | Adapt { ad; objs; get_site; _ } ->
     adapt_call t.env.Sysenv.prelude ad ~site:get_site objs (bucket_of_key t key)
-      (method_get key) c k
+      (method_get (space t) key) c k
   | Sm { mem; bases; locks; _ } -> sm_get mem locks bases t key c k
 
 let put t ~key ~value c k =
@@ -325,10 +357,12 @@ let put t ~key ~value c k =
   | Msg { rt; access; objs; fused; put_ms; _ } ->
     let i = bucket_of_key t key in
     if fused then Runtime.msite_scoped put_ms ~obj:(objs.(i) :> int) ~a:key ~b:value c k
-    else msg_call t.env.Sysenv.prelude rt ~access objs i (method_put t.capacity key value) c k
+    else
+      msg_call t.env.Sysenv.prelude rt ~access objs i
+        (method_put (space t) t.capacity key value) c k
   | Adapt { ad; objs; put_site; _ } ->
     adapt_call t.env.Sysenv.prelude ad ~site:put_site objs (bucket_of_key t key)
-      (method_put t.capacity key value) c k
+      (method_put (space t) t.capacity key value) c k
   | Sm { mem; bases; locks; capacity } -> sm_put mem locks bases capacity t ~key ~value c k
 
 let range_sum t ~first_bucket ~n_buckets =
@@ -346,7 +380,7 @@ let range_sum t ~first_bucket ~n_buckets =
              if fused then Runtime.msite_call sum_ms ~obj:(objs.(i) :> int) ~a:0 ~b:0
              else
                Runtime.call rt ~access ~home:(obj_home p objs i) ~args_words:8 ~result_words:2
-                 (method_sum (Prelude.obj_state p objs.(i)))
+                 (method_sum (space t) (objs.(i) :> int))
            in
            go (j + 1) (acc + s)
        in
@@ -360,7 +394,7 @@ let range_sum t ~first_bucket ~n_buckets =
            let* s =
              Adaptive.call ad ~site:scan_site ~home:(obj_home p objs i) ~args_words:8
                ~result_words:2
-               (method_sum (Prelude.obj_state p objs.(i)))
+               (method_sum (space t) (objs.(i) :> int))
            in
            go (j + 1) (acc + s)
        in
@@ -386,11 +420,10 @@ let preload t ~key ~value =
   let i = bucket_of_key t key in
   match t.repr with
   | Msg { objs; _ } | Adapt { objs; _ } ->
-    let b = Prelude.obj_state t.env.Sysenv.prelude objs.(i) in
+    let obj = (objs.(i) :> int) in
+    let b = bucket_at (space t) obj in
     (match bkt_find b key with
-    | -1 ->
-      if bkt_count b >= t.capacity then failwith "Dht.preload: bucket full"
-      else bkt_append b key value
+    | -1 -> bkt_insert (space t) obj t.capacity b key value ~full:"Dht.preload: bucket full"
     | s -> bkt_set b s value)
   | Sm { mem; bases; _ } ->
     let base = bases.(i) in
@@ -410,7 +443,7 @@ let peek t key =
   let i = bucket_of_key t key in
   match t.repr with
   | Msg { objs; _ } | Adapt { objs; _ } ->
-    let b = Prelude.obj_state t.env.Sysenv.prelude objs.(i) in
+    let b = bucket_at (space t) (objs.(i) :> int) in
     (match bkt_find b key with -1 -> None | s -> Some b.(off_pairs + (2 * s) + 1))
   | Sm { mem; bases; _ } ->
     let base = bases.(i) in
@@ -429,8 +462,8 @@ let contents t =
     match t.repr with
     | Msg { objs; _ } | Adapt { objs; _ } ->
       Array.to_list objs
-      |> List.concat_map (fun o ->
-             let b = Prelude.obj_state t.env.Sysenv.prelude o in
+      |> List.concat_map (fun (o : bucket Prelude.obj) ->
+             let b = bucket_at (space t) (o :> int) in
              List.init (bkt_count b)
                (fun s -> (b.(off_pairs + (2 * s)), b.(off_pairs + (2 * s) + 1))))
     | Sm { mem; bases; _ } ->
@@ -446,7 +479,14 @@ let contents t =
       match Int.compare k1 k2 with 0 -> Int.compare v1 v2 | c -> c)
     pairs
 
-let size t = List.length (contents t)
+let size t =
+  match t.repr with
+  | Msg { objs; _ } | Adapt { objs; _ } ->
+    Array.fold_left
+      (fun n (o : bucket Prelude.obj) -> n + bkt_count (bucket_at (space t) (o :> int)))
+      0 objs
+  | Sm { mem; bases; _ } ->
+    Array.fold_left (fun n base -> n + Shmem.peek mem (base + off_count)) 0 bases
 
 let adaptive_report t =
   match t.repr with

@@ -13,9 +13,12 @@
     with [mode = Adaptive] the point-operation sites learn to use RPC
     while the range-scan site learns to migrate.
 
-    Buckets are spread round-robin over the node processors.  The
-    shared-memory representation stores each bucket as a fixed-capacity
-    block of (key, value) pairs guarded by a spin lock. *)
+    Buckets are spread round-robin over the node processors.  In the
+    messaging and adaptive modes a bucket is an object whose payload
+    starts small and is replaced by a doubled copy when it fills, up to
+    the capacity.  The shared-memory representation stores each bucket
+    as a fixed-capacity block of (key, value) pairs guarded by a spin
+    lock. *)
 
 open Cm_machine
 
@@ -73,7 +76,7 @@ val peek : t -> int -> int option
     simulated). *)
 
 val size : t -> int
-(** Number of entries (not simulated). *)
+(** Number of entries (not simulated): the sum of the bucket counts. *)
 
 val contents : t -> (int * int) list
 (** All (key, value) pairs, sorted by key (not simulated). *)

@@ -1,6 +1,10 @@
 type shape = Mesh | Torus | Crossbar
 
-type t = { shape : shape; size : int; cols : int; rows : int }
+(* [xs]/[ys] hold every processor's grid column and row, built once, so
+   [hops] is four loads and integer arithmetic: no division, and no
+   coordinate tuples allocated per call (the message path asks for the
+   hop count of every send). *)
+type t = { shape : shape; size : int; cols : int; rows : int; xs : int array; ys : int array }
 
 let grid_dims n =
   let cols = int_of_float (ceil (sqrt (float_of_int n))) in
@@ -10,7 +14,14 @@ let grid_dims n =
 let make shape n =
   if n <= 0 then invalid_arg "Topology: size must be positive";
   let cols, rows = grid_dims n in
-  { shape; size = n; cols; rows }
+  {
+    shape;
+    size = n;
+    cols;
+    rows;
+    xs = Array.init n (fun id -> id mod cols);
+    ys = Array.init n (fun id -> id / cols);
+  }
 
 let mesh n = make Mesh n
 
@@ -20,26 +31,40 @@ let crossbar n = make Crossbar n
 
 let size t = t.size
 
-let check t id =
-  if id < 0 || id >= t.size then
-    invalid_arg (Printf.sprintf "Topology.hops: processor %d out of range [0,%d)" id t.size)
+(* Out of line, so a range check is a compare and a never-taken branch. *)
+let[@inline never] out_of_range t id =
+  invalid_arg (Printf.sprintf "Topology.hops: processor %d out of range [0,%d)" id t.size)
 
-let coords t id = (id mod t.cols, id / t.cols)
+let[@inline always] check t id = if id < 0 || id >= t.size then out_of_range t id
 
+let coords t id = (t.xs.(id), t.ys.(id))
+
+(* |a - b| without a branch: on mixed traffic the sign of a coordinate
+   difference is a coin toss, and a mispredicted [abs] costs the message
+   path more than the rest of the hop count does. *)
+let[@inline always] axis_dist a b =
+  let d = a - b in
+  let s = d asr (Sys.int_size - 1) in
+  (d lxor s) - s
+
+(* The shorter way round a ring of [len] for an axis distance [d]. *)
+let[@inline always] ring_dist d len =
+  let back = len - d in
+  if back < d then back else d
+
+(* Only a crossbar tests [src = dst]: a zero distance is zero hops on a
+   grid. *)
 let hops t ~src ~dst =
   check t src;
   check t dst;
-  if src = dst then 0
-  else
-    match t.shape with
-    | Crossbar -> 1
-    | Mesh ->
-      let x1, y1 = coords t src and x2, y2 = coords t dst in
-      abs (x1 - x2) + abs (y1 - y2)
-    | Torus ->
-      let x1, y1 = coords t src and x2, y2 = coords t dst in
-      let wrap d len = min d (len - d) in
-      wrap (abs (x1 - x2)) t.cols + wrap (abs (y1 - y2)) t.rows
+  match t.shape with
+  | Mesh ->
+    axis_dist (Array.unsafe_get t.xs src) (Array.unsafe_get t.xs dst)
+    + axis_dist (Array.unsafe_get t.ys src) (Array.unsafe_get t.ys dst)
+  | Torus ->
+    ring_dist (axis_dist (Array.unsafe_get t.xs src) (Array.unsafe_get t.xs dst)) t.cols
+    + ring_dist (axis_dist (Array.unsafe_get t.ys src) (Array.unsafe_get t.ys dst)) t.rows
+  | Crossbar -> if src = dst then 0 else 1
 
 let id_of t (x, y) = (y * t.cols) + x
 

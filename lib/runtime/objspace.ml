@@ -15,10 +15,10 @@ type id = int
    across every spare slot) is gone by construction: a home is a word
    in a vector, not a field of a possibly-shared block.
 
-   Payload slots are [Obj.t] behind the typed interface ([register] is
-   the only writer, ['state] is pinned by the phantom parameter), which
-   keeps one representation for every payload type — including float,
-   which a ['state array] would silently specialize. *)
+   Payload slots are [Obj.t] behind the typed interface ([register] and
+   [set_state] are the only writers, ['state] is pinned by the phantom
+   parameter), which keeps one representation for every payload type —
+   including float, which a ['state array] would silently specialize. *)
 type homes = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type 'state t = {
@@ -72,6 +72,10 @@ let home t i =
 let state t i =
   check t i;
   Obj.obj (Array.unsafe_get t.payload i)
+
+let set_state t i state =
+  check t i;
+  Array.unsafe_set t.payload i (Obj.repr state)
 
 let count t = t.size
 

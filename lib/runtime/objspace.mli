@@ -32,6 +32,13 @@ val state : 'state t -> id -> 'state
     calling conventions guarantee this for well-formed programs, and
     {!Runtime.invoke} checks it in debug builds. *)
 
+val set_state : 'state t -> id -> 'state -> unit
+(** [set_state t i state] replaces the object's payload — for an object
+    whose state outgrows its block (a hash bucket doubling).  Like any
+    payload mutation it must run on the home processor; code holding
+    the old payload keeps a dead copy, so methods read {!state} when
+    they run, never a value captured earlier. *)
+
 val move : 'state t -> id -> to_:int -> unit
 (** [move t i ~to_] rehomes the object (bookkeeping only — the caller is
     responsible for charging the transfer; see {!Objmig}).  Methods

@@ -103,6 +103,25 @@ let test_bucket_full () =
   (try Machine.run e.Sysenv.machine with Failure _ -> failed := true);
   Alcotest.(check bool) "overflow rejected" true !failed
 
+(* Growth stops at the capacity exactly: a bucket that grew on the way
+   (doubling capped at 20 pairs) holds 20 keys and refuses the 21st,
+   preloaded or put. *)
+let test_bucket_full_after_growth () =
+  List.iter
+    (fun (name, mode) ->
+      let e = env () in
+      let table = Dht.create e ~buckets:1 ~bucket_capacity:20 ~mode ~node_procs () in
+      for k = 1 to 20 do
+        Dht.preload table ~key:k ~value:k
+      done;
+      Alcotest.(check int) (name ^ ": full") 20 (Dht.size table);
+      Alcotest.check_raises (name ^ ": preload refused") (Failure "Dht.preload: bucket full")
+        (fun () -> Dht.preload table ~key:21 ~value:21);
+      Machine.spawn e.Sysenv.machine ~on:8 (Dht.put table ~key:21 ~value:21);
+      Alcotest.check_raises (name ^ ": put refused") (Failure "Dht.put: bucket full") (fun () ->
+          Machine.run e.Sysenv.machine))
+    [ ("rpc", Dht.Messaging Cm_core.Prelude.Rpc); ("adaptive", Dht.Adaptive) ]
+
 let test_modes_agree () =
   let final (_, mode) =
     let e = env () in
@@ -185,6 +204,84 @@ let test_validation () =
       let _ : int Thread.t = Dht.range_sum table ~first_bucket:0 ~n_buckets:0 in
       ())
 
+(* Six requesters insert fresh keys into one bucket that starts small,
+   back to back, so requests are in flight across the RPC latency while
+   earlier ones double the bucket.  A body that captured the bucket on
+   the requester would write into the block growth had already
+   replaced, and its key would be lost. *)
+let test_growth_under_inflight_puts () =
+  let variants =
+    [
+      ("fused frames", Machine.Frames, Dht.Messaging Cm_core.Prelude.Rpc, true);
+      ("unfused", Machine.Frames, Dht.Messaging Cm_core.Prelude.Rpc, false);
+      ("adaptive", Machine.Frames, Dht.Adaptive, true);
+      ("cps engine", Machine.Cps, Dht.Messaging Cm_core.Prelude.Rpc, true);
+    ]
+  in
+  List.iter
+    (fun (name, engine, mode, fused) ->
+      let e = Sysenv.make (Machine.create ~seed:23 ~engine ~n_procs:12 ~costs:Costs.software ()) in
+      let table = Dht.create e ~buckets:1 ~bucket_capacity:64 ~fused ~mode ~node_procs:[| 0 |] () in
+      let requesters = 6 and per_requester = 10 in
+      let key r i = (r * 100) + i in
+      for r = 0 to requesters - 1 do
+        Machine.spawn e.Sysenv.machine ~on:(6 + r)
+          (Thread.repeat per_requester (fun i -> Dht.put table ~key:(key r i) ~value:(key r i + 1)))
+      done;
+      Machine.run e.Sysenv.machine;
+      for r = 0 to requesters - 1 do
+        for i = 0 to per_requester - 1 do
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: key %d" name (key r i))
+            (Some (key r i + 1))
+            (Dht.peek table (key r i))
+        done
+      done;
+      Alcotest.(check int) (name ^ ": size") (requesters * per_requester) (Dht.size table))
+    variants
+
+(* [min_int] hashes to [min_int], which [abs] leaves negative: on a
+   table whose size is not a power of two it used to index bucket -4. *)
+let test_min_int_key () =
+  List.iter
+    (fun (name, mode) ->
+      let e = env () in
+      let table = Dht.create e ~buckets:12 ~mode ~node_procs () in
+      let b = Dht.bucket_of_key table min_int in
+      Alcotest.(check bool) (name ^ ": bucket in range") true (b >= 0 && b < 12);
+      Dht.preload table ~key:min_int ~value:7;
+      Alcotest.(check (option int)) (name ^ ": peek") (Some 7) (Dht.peek table min_int);
+      let got = ref None in
+      run_thread e
+        (let* () = Dht.put table ~key:min_int ~value:8 in
+         let* v = Dht.get table min_int in
+         got := v;
+         Thread.return ());
+      Alcotest.(check (option int)) (name ^ ": get") (Some 8) !got;
+      (* Every other key keeps the bucket it always had. *)
+      List.iter
+        (fun k ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: bucket of %d" name k)
+            (abs (k * 2654435761) mod 12)
+            (Dht.bucket_of_key table k))
+        [ 0; 1; -1; 12345; -98765; max_int; min_int + 1 ])
+    all_modes
+
+let test_size_counts_entries () =
+  List.iter
+    (fun (name, mode) ->
+      let e = env () in
+      let table = Dht.create e ~buckets:4 ~bucket_capacity:128 ~mode ~node_procs () in
+      run_thread e (Thread.repeat 50 (fun i -> Dht.put table ~key:(i * 5 mod 41) ~value:i));
+      for k = 100 to 139 do
+        Dht.preload table ~key:k ~value:k
+      done;
+      Alcotest.(check int) (name ^ ": size = |contents|")
+        (List.length (Dht.contents table))
+        (Dht.size table))
+    all_modes
+
 let prop_dht_matches_hashtbl =
   QCheck.Test.make ~name:"dht agrees with Hashtbl (all modes)" ~count:20
     QCheck.(
@@ -220,8 +317,12 @@ let () =
           Alcotest.test_case "range sum" `Quick test_range_sum;
           Alcotest.test_case "concurrent puts" `Quick test_concurrent_puts;
           Alcotest.test_case "bucket full" `Quick test_bucket_full;
+          Alcotest.test_case "bucket full after growth" `Quick test_bucket_full_after_growth;
           Alcotest.test_case "modes agree" `Quick test_modes_agree;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "growth under in-flight puts" `Quick test_growth_under_inflight_puts;
+          Alcotest.test_case "min_int key" `Quick test_min_int_key;
+          Alcotest.test_case "size counts entries" `Quick test_size_counts_entries;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_dht_matches_hashtbl ] );
       ( "adaptive-dht",

@@ -115,6 +115,57 @@ let prop_topology_triangle =
       let t = Topology.mesh 25 in
       Topology.hops t ~src:a ~dst:c <= Topology.hops t ~src:a ~dst:b + Topology.hops t ~src:b ~dst:c)
 
+(* The hop count straight from the grid geometry, by division: the
+   formula the per-processor coordinate tables must reproduce. *)
+let reference_hops shape n ~src ~dst =
+  let cols = int_of_float (ceil (sqrt (float_of_int n))) in
+  let rows = (n + cols - 1) / cols in
+  let dx = abs ((src mod cols) - (dst mod cols)) and dy = abs ((src / cols) - (dst / cols)) in
+  if src = dst then 0
+  else
+    match shape with
+    | `Crossbar -> 1
+    | `Mesh -> dx + dy
+    | `Torus -> min dx (cols - dx) + min dy (rows - dy)
+
+let shapes = [ (`Mesh, Topology.mesh); (`Torus, Topology.torus); (`Crossbar, Topology.crossbar) ]
+
+(* Every pair of one random size per shape; the sizes cover squares and
+   ragged last rows alike.  Each size also checks that an uncontended
+   send's latency is exactly [Costs.transit] of that hop count, and that
+   an out-of-range processor is refused with the usual message. *)
+let prop_topology_hops_match_formula =
+  QCheck.Test.make ~name:"coordinate-table hops = div/mod formula, latency = transit" ~count:40
+    QCheck.(pair (int_range 1 300) (int_range 0 64))
+    (fun (n, words) ->
+      List.for_all
+        (fun (shape, make) ->
+          let topo = make n in
+          let sim = Sim.create () and stats = Stats.create () in
+          let costs = Costs.software in
+          let net = Network.create ~sim ~topo ~costs ~stats () in
+          let pairs_ok = ref true in
+          for src = 0 to n - 1 do
+            for dst = 0 to n - 1 do
+              let hops = reference_hops shape n ~src ~dst in
+              if Topology.hops topo ~src ~dst <> hops then pairs_ok := false
+            done
+          done;
+          let src = words mod n and dst = (words * 7) mod n in
+          let latency = Network.send net ~src ~dst ~words ~kind:"p" ignore in
+          let refused f =
+            match f () with
+            | _ -> false
+            | exception Invalid_argument msg ->
+              msg = Printf.sprintf "Topology.hops: processor %d out of range [0,%d)" n n
+          in
+          !pairs_ok
+          && latency = Costs.transit costs ~hops:(reference_hops shape n ~src ~dst) ~words
+          && refused (fun () -> Topology.hops topo ~src:n ~dst:0)
+          && refused (fun () -> Topology.hops topo ~src:0 ~dst:n)
+          && refused (fun () -> Network.send net ~src:0 ~dst:n ~words ~kind:"p" ignore))
+        shapes)
+
 (* ------------------------------------------------------------------ *)
 (* Network                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -894,7 +945,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_topology_bounds;
           Alcotest.test_case "non-square" `Quick test_topology_nonsquare;
         ]
-        @ qsuite [ prop_topology_triangle ] );
+        @ qsuite [ prop_topology_triangle; prop_topology_hops_match_formula ] );
       ( "network",
         [
           Alcotest.test_case "delivers" `Quick test_network_delivers;
