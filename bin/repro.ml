@@ -99,25 +99,35 @@ let custom_cmd =
     let doc = "Print a post-run machine report (utilizations, traffic by kind)." in
     Arg.(value & flag & info [ "detail" ] ~doc)
   in
+  let run_app s app ~think ~requesters ~horizon ~fanout =
+    match app with
+    | "counting" ->
+      Ok
+        (Counting_run.run_with_machine s
+           { Counting_run.default with Counting_run.think; requesters; horizon })
+    | "btree" ->
+      Ok
+        (Btree_run.run_with_machine s
+           { Btree_run.default with Btree_run.think; requesters; horizon; fanout })
+    | other -> Error (Printf.sprintf "unknown app %S (counting|btree)" other)
+  in
   let run scheme app think requesters horizon fanout detail =
     match Scheme.of_string scheme with
     | Error e -> `Error (false, e)
-    | Ok s ->
-      let machine, metrics =
-        match app with
-        | "counting" ->
-          Counting_run.run_with_machine s
-            { Counting_run.default with Counting_run.think; requesters; horizon }
-        | "btree" ->
-          Btree_run.run_with_machine s
-            { Btree_run.default with Btree_run.think; requesters; horizon; fanout }
-        | other -> failwith (Printf.sprintf "unknown app %S (counting|btree)" other)
-      in
-      Printf.printf "%s on %s: %s (mean op latency %.0f cycles)\n" (Scheme.name s) app
-        (Format.asprintf "%a" Cm_workload.Metrics.pp metrics)
-        metrics.Cm_workload.Metrics.mean_latency;
-      if detail then Cm_workload.Detail.print machine;
-      `Ok ()
+    | Ok s -> (
+      (* The libraries reject an impossible configuration (no
+         requesters, warmup past the horizon, fanout below 4) with
+         [Invalid_argument] before simulated time starts: that is a
+         usage error, not a crash. *)
+      match run_app s app ~think ~requesters ~horizon ~fanout with
+      | exception Invalid_argument msg -> `Error (false, "invalid configuration: " ^ msg)
+      | Error e -> `Error (false, e)
+      | Ok (machine, metrics) ->
+        Printf.printf "%s on %s: %s (mean op latency %.0f cycles)\n" (Scheme.name s) app
+          (Format.asprintf "%a" Cm_workload.Metrics.pp metrics)
+          metrics.Cm_workload.Metrics.mean_latency;
+        if detail then Cm_workload.Detail.print machine;
+        `Ok ())
   in
   let doc = "One custom run with explicit parameters." in
   Cmd.v (Cmd.info "custom" ~doc)

@@ -116,9 +116,10 @@ let default =
         [ "upd_fan_step"; "read_home_step"; "read_copy_step"; "read"; "update";
           "scr_alloc"; "scr_release"; "scr_scan"; "holds"; "install" ];
     };
-    (* The per-op samplers both bench arms share: a boxed draw here taxes
-       fused and generic alike and masks the A/B ratio (the PR 10 limb
-       rewrite of Rng exists precisely to keep these clean). *)
+    (* The per-op samplers the fused and generic call paths share: a
+       boxed draw here taxes both alike and masks their words-per-op
+       ratio (the PR 10 limb rewrite of Rng exists precisely to keep
+       these clean). *)
     { s_unit = "Cm_engine.Rng";
       s_names = [ "step"; "int"; "bits53"; "float"; "bool"; "split_into" ] };
     { s_unit = "Cm_engine.Zipf"; s_names = [ "sample" ] };

@@ -36,9 +36,6 @@ let mode t = t.mode
 
 let height t = match t.repr with Msg b -> Btree_msg.height b | Sm b -> Btree_sm.height b
 
-let root_children t =
-  match t.repr with Msg b -> Btree_msg.root_children b | Sm b -> Btree_sm.root_children b
-
 let splits t = match t.repr with Msg b -> Btree_msg.splits b | Sm b -> Btree_sm.splits b
 
 let root_home t =
@@ -48,8 +45,3 @@ let all_keys t = match t.repr with Msg b -> Btree_msg.all_keys b | Sm b -> Btree
 
 let check_invariants t =
   match t.repr with Msg b -> Btree_msg.check_invariants b | Sm b -> Btree_sm.check_invariants b
-
-let dump t =
-  match t.repr with
-  | Msg b -> Btree_msg.dump b
-  | Sm _ -> "(dump: not implemented for shared-memory trees)"

@@ -43,7 +43,6 @@ val insert : t -> int -> bool Thread.t
 
 val mode : t -> mode
 val height : t -> int
-val root_children : t -> int
 val root_home : t -> int
 val splits : t -> int
 
@@ -52,6 +51,3 @@ val all_keys : t -> int list
 
 val check_invariants : t -> (unit, string) result
 (** Structural soundness at quiescence. *)
-
-val dump : t -> string
-(** Indented rendering of the tree (debugging aid). *)

@@ -465,10 +465,6 @@ let height t = t.anchor.height
 
 let root_home t = node_home t t.anchor.root
 
-let root_children t =
-  let r = node t t.anchor.root in
-  if r.is_leaf then 0 else r.nkeys
-
 let splits t = t.n_splits
 
 let leftmost_leaf t =
@@ -485,27 +481,6 @@ let all_keys t =
     if n.right >= 0 then walk n.right acc else List.rev acc
   in
   walk (leftmost_leaf t) []
-
-let dump t =
-  let buf = Buffer.create 256 in
-  let rec go nid indent =
-    let n = node t nid in
-    Buffer.add_string buf
-      (Printf.sprintf "%s#%d %s nkeys=%d high=%s right=%d keys=[%s]\n" indent nid
-         (if n.is_leaf then "leaf" else "node")
-         n.nkeys
-         (if n.high = max_int then "inf" else string_of_int n.high)
-         n.right
-         (String.concat ";"
-            (List.init n.nkeys (fun i ->
-                 if n.keys.(i) = max_int then "inf" else string_of_int n.keys.(i)))));
-    if not n.is_leaf then
-      for i = 0 to n.nkeys - 1 do
-        go n.children.(i) (indent ^ "  ")
-      done
-  in
-  go t.anchor.root "";
-  Buffer.contents buf
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -47,8 +47,8 @@ val create :
     get/put/range_sum through the table's {!Cm_runtime.Runtime.msite}
     method-site table — allocation-free steady state, digests identical
     to the generic path; [fused:false] keeps the generic
-    [scope]/[call] composition (the A/B reference arm of
-    [bench sites]). *)
+    [scope]/[call] composition (the reference arm of the
+    fused-vs-generic rows in test/test_alloc.ml). *)
 
 val put : t -> key:int -> value:int -> unit Thread.t
 (** [put t ~key ~value] inserts or updates one entry.  Raises

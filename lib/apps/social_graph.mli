@@ -35,8 +35,8 @@ val create :
     [fused] (default [true]) runs every visit through the graph's
     {!Cm_runtime.Runtime.msite} method-sites — allocation-free steady
     state, digests identical to the generic path; [fused:false] keeps
-    the generic [scope]/[call] composition (the A/B reference arm of
-    [bench sites]). *)
+    the generic [scope]/[call] composition (the reference arm of the
+    fused-vs-generic rows in test/test_alloc.ml). *)
 
 val n_users : t -> int
 

@@ -4,7 +4,8 @@
    it against a boxed-[Int64] reference — while a draw allocates
    nothing: boxed-[Int64] state cost ~7 minor words per [int] draw and
    ~17 per [Zipf] sample, which dominated the fused call path's per-op
-   allocation budget (see [bench sites]).
+   allocation budget (the fused-vs-generic rows of test/test_alloc.ml
+   measure it).
 
    Limb conventions: a 64-bit quantity [z] is [(hi, lo)] with both limbs
    in [0, 2^32).  Native ints are 63-bit, so limb sums and 16x32 partial

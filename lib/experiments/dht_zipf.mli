@@ -6,30 +6,18 @@
     flat int-pair buckets, so the million-entry table is one array per
     bucket and the preload bypasses simulated time. *)
 
-val measure : quick:bool -> Cm_apps.Dht.mode -> float -> Cm_workload.Metrics.t
-(** [measure ~quick mode skew] runs one sweep point. *)
-
-val measure_with_machine :
-  quick:bool ->
+val measure :
   ?fused:bool ->
-  Cm_apps.Dht.mode ->
-  float ->
-  Cm_machine.Machine.t * Cm_workload.Metrics.t
-(** [measure] exposing the machine — the bench harness's digest and
-    event-count probes.  [fused] (default [true]) selects the table's
-    method-site path vs the generic [scope]/[call] composition; the
-    [bench sites] A/B flips it and cross-checks digests. *)
-
-val measure_sim_words :
   quick:bool ->
-  fused:bool ->
   Cm_apps.Dht.mode ->
   float ->
   Cm_machine.Machine.t * Cm_workload.Metrics.t * float
-(** [measure_with_machine] additionally reporting the minor words
-    allocated across the simulation itself (table construction and
-    preload excluded) — the [bench sites] A/B divides this by
-    [Metrics.ops] for its steady-state words-per-op figures. *)
+(** [measure ~quick mode skew] runs one sweep point and returns the
+    machine, the metrics and the minor words allocated across the
+    simulation itself (table construction and preload excluded).
+    [fused] (default [true]) selects the table's method-site path vs
+    the generic [scope]/[call] composition (see {!Cm_apps.Dht.create});
+    both must produce the same machine digest. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
 

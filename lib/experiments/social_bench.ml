@@ -50,7 +50,7 @@ let request graph workload access _i =
     | Walk -> Social_graph.walk graph ~access ~start:u ~steps:walk_steps c dropk
     | Fof -> Social_graph.friends_of_friends graph ~access u c dropk
 
-let measure_sim_words ~quick ~fused workload access =
+let measure ?fused ~quick workload access =
   let sz = size ~quick in
   let machine =
     Machine.create ~seed:42 ~n_procs:(sz.node_procs + sz.requesters) ~costs:Costs.software ()
@@ -59,12 +59,12 @@ let measure_sim_words ~quick ~fused workload access =
   (* Built directly (not simulated): a million users register in real
      time, one flat-store index each. *)
   let graph =
-    Social_graph.create env ~n:sz.users ~avg_degree ~fused
+    Social_graph.create env ~n:sz.users ~avg_degree ?fused
       ~node_procs:(Array.init sz.node_procs (fun i -> i))
       ~seed:7 ()
   in
   (* Minor words sampled around the simulation alone (graph construction
-     excluded) — the [bench sites] A/B's per-op allocation probe. *)
+     excluded): divided by [Metrics.ops], the per-op allocation. *)
   let words0 = Gc.minor_words () in
   let metrics =
     Cm_workload.Driver.run machine
@@ -79,17 +79,16 @@ let measure_sim_words ~quick ~fused workload access =
   in
   (machine, metrics, Gc.minor_words () -. words0)
 
-let measure_with_machine ~quick ?(fused = true) workload access =
-  let machine, metrics, _ = measure_sim_words ~quick ~fused workload access in
-  (machine, metrics)
-
-let measure ~quick workload access = snd (measure_with_machine ~quick workload access)
-
 let workloads = [ Walk; Fof ]
 
 let jobs ~quick =
   List.concat_map
-    (fun workload -> List.map (fun access () -> measure ~quick workload access) accesses)
+    (fun workload ->
+      List.map
+        (fun access () ->
+          let _, metrics, _ = measure ~quick workload access in
+          metrics)
+        accesses)
     workloads
 
 let render ~quick results =

@@ -4,30 +4,18 @@
 
 type workload = Walk | Fof
 
-val measure : quick:bool -> workload -> Cm_core.Prelude.access -> Cm_workload.Metrics.t
-(** [measure ~quick workload access] runs one sweep point. *)
-
-val measure_with_machine :
-  quick:bool ->
+val measure :
   ?fused:bool ->
-  workload ->
-  Cm_core.Prelude.access ->
-  Cm_machine.Machine.t * Cm_workload.Metrics.t
-(** [measure] exposing the machine — the bench harness's digest and
-    event-count probes.  [fused] (default [true]) selects the graph's
-    method-site visit path vs the generic [scope]/[call] composition;
-    the [bench sites] A/B flips it and cross-checks digests. *)
-
-val measure_sim_words :
   quick:bool ->
-  fused:bool ->
   workload ->
   Cm_core.Prelude.access ->
   Cm_machine.Machine.t * Cm_workload.Metrics.t * float
-(** [measure_with_machine] additionally reporting the minor words
-    allocated across the simulation itself (graph construction
-    excluded) — the [bench sites] A/B divides this by [Metrics.ops]
-    for its steady-state words-per-op figures. *)
+(** [measure ~quick workload access] runs one sweep point and returns
+    the machine, the metrics and the minor words allocated across the
+    simulation itself (graph construction excluded).  [fused] (default
+    [true]) selects the graph's method-site visit path vs the generic
+    [scope]/[call] composition (see {!Cm_apps.Social_graph.create});
+    both must produce the same machine digest. *)
 
 val plan : ?quick:bool -> unit -> Plan.t
 

@@ -2,16 +2,6 @@ open Cm_engine
 
 type engine = Frames | Cps
 
-(* The process-wide default, read by [create] when no explicit engine is
-   given: atomic because the sweep harness runs machines across a domain
-   pool, and the paired A/B bench mode flips it between interleaved
-   repetitions. *)
-let default_engine_cell : engine Atomic.t = Atomic.make Frames (* lint: allow global-state — cross-domain engine default, vetted *)
-
-let set_default_engine e = Atomic.set default_engine_cell e
-
-let default_engine () = Atomic.get default_engine_cell
-
 let engine_name = function Frames -> "frames" | Cps -> "cps"
 
 type t = {
@@ -28,8 +18,8 @@ type t = {
   mutable transport_ : Transport.t option;
 }
 
-let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bits = 12) ?engine
-    ?(shards = 1) ~n_procs ~costs () =
+let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bits = 12)
+    ?(engine = Frames) ?(shards = 1) ~n_procs ~costs () =
   if n_procs <= 0 then invalid_arg "Machine.create: n_procs must be positive";
   if shards <> 1 then
     invalid_arg "Machine.create: sharded simulation was removed; only ~shards:1 is accepted";
@@ -50,7 +40,6 @@ let create ?(seed = 42) ?(topology = `Mesh) ?(net_contention = false) ?(wheel_bi
     Array.init n_procs (fun id ->
         Processor.create ~sim ~stats ~scheduler_cost:costs.Costs.scheduler ~id)
   in
-  let engine = match engine with Some e -> e | None -> default_engine () in
   let eng = match engine with Frames -> Thread.frames_engine () | Cps -> Thread.cps_engine () in
   {
     sim;

@@ -11,15 +11,9 @@ open Cm_engine
     [Frames] is the defunctionalized zero-allocation default, [Cps] the
     original closure-per-suspension reference.  Digests are bit-identical
     between the two (the qcheck oracle in test/ proves it); [Cps] exists
-    for that oracle and for paired A/B benchmarks. *)
+    for that oracle and for the benchmark's reference run on seeds it has
+    no recorded outcome for. *)
 type engine = Frames | Cps
-
-val set_default_engine : engine -> unit
-(** Set the process-wide default for machines created without an
-    explicit [engine] (atomic — safe under the sweep harness's domain
-    pool; the A/B bench mode flips it between interleaved reps). *)
-
-val default_engine : unit -> engine
 
 val engine_name : engine -> string
 
@@ -56,10 +50,9 @@ val create :
     sizes the scheduler's calendar wheel (see {!Sim.create}); it affects
     performance only — extraction order, and therefore every statistic
     and digest, is identical at any size.  [engine] picks the thread
-    engine (defaults to {!default_engine}, normally [Frames]); digests
-    are engine-invariant.  [shards] is accepted for compatibility only:
-    any value other than 1 raises [Invalid_argument] (the simulator is
-    sequential). *)
+    engine (default [Frames]); digests are engine-invariant.  [shards]
+    is accepted for compatibility only: any value other than 1 raises
+    [Invalid_argument] (the simulator is sequential). *)
 
 val n_procs : t -> int
 (** Number of processors. *)

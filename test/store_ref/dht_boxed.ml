@@ -1,11 +1,12 @@
 (* The pre-PR-8 assoc-list DHT bucket representation (messaging mode
-   only), kept as the boxed side of the bench A/B allocation probe.
-   Costs are computed exactly as the flat [Cm_apps.Dht] computes them —
-   [bucket_work] over the entry count, charged before any mutation — so
-   a paired run produces the same machine digest while allocating the
-   way the old representation allocated: a list cell and pair per
-   insert, and an O(n) list rebuild per update ([remove_assoc] +
-   re-cons), where the flat buckets write two words in place. *)
+   only), kept as the boxed side of the flat-vs-boxed cross-check in
+   test_flatstore.ml.  Costs are computed exactly as the flat
+   [Cm_apps.Dht] computes them — [bucket_work] over the entry count read
+   at the home when the body runs, charged before any mutation — so a
+   paired run produces the same machine digest while allocating the way
+   the old representation allocated: a list cell and pair per insert,
+   and an O(n) list rebuild per update ([remove_assoc] + re-cons), where
+   the flat buckets write two words in place. *)
 
 open Cm_machine
 open Cm_runtime
@@ -41,21 +42,26 @@ let create prelude ?(buckets = 64) ?(bucket_capacity = 64) ~access ~node_procs (
 
 let bucket_of_key t key = abs (key * 2654435761) mod t.buckets
 
-let method_get key (b : bucket) =
-  let* () = Thread.compute (bucket_work (List.length b.entries)) in
-  Thread.return (List.assoc_opt key b.entries)
+(* The bodies take [c k] explicitly, as [Dht]'s do, so the entry count
+   is read when the body runs at the home, not when the request is
+   built on the requester. *)
+let method_get key (b : bucket) c k =
+  (let* () = Thread.compute (bucket_work (List.length b.entries)) in
+   Thread.return (List.assoc_opt key b.entries))
+    c k
 
-let method_put t key value (b : bucket) =
-  let* () = Thread.compute (bucket_work (List.length b.entries)) in
-  if List.mem_assoc key b.entries then begin
-    b.entries <- (key, value) :: List.remove_assoc key b.entries;
-    Thread.return ()
-  end
-  else if List.length b.entries >= t.capacity then failwith "Dht_boxed.put: bucket full"
-  else begin
-    b.entries <- (key, value) :: b.entries;
-    Thread.return ()
-  end
+let method_put t key value (b : bucket) c k =
+  (let* () = Thread.compute (bucket_work (List.length b.entries)) in
+   if List.mem_assoc key b.entries then begin
+     b.entries <- (key, value) :: List.remove_assoc key b.entries;
+     Thread.return ()
+   end
+   else if List.length b.entries >= t.capacity then failwith "Dht_boxed.put: bucket full"
+   else begin
+     b.entries <- (key, value) :: b.entries;
+     Thread.return ()
+   end)
+    c k
 
 let call t i body =
   Runtime.scope t.rt ~result_words:2

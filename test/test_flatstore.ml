@@ -1,8 +1,9 @@
 (* The flat object space against its boxed reference (kept verbatim in
    store_ref/): qcheck equivalence over random op sequences, a machine-
-   digest oracle through objmig-style runs, the growth-aliasing
-   regression the old representation was one refactor away from, and
-   replica bitsets at 1024 processors. *)
+   digest oracle through objmig-style runs, the flat DHT buckets against
+   the boxed assoc-list buckets under one seeded put stream, the
+   growth-aliasing regression the old representation was one refactor
+   away from, and replica bitsets at 1024 processors. *)
 
 open Cm_engine
 open Cm_machine
@@ -190,6 +191,65 @@ let prop_objmig_digest_oracle =
       values = Array.mapi (fun j t -> j + t) touches)
 
 (* ------------------------------------------------------------------ *)
+(* Flat vs boxed DHT buckets                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The same seeded put stream through the flat int-pair buckets
+   ([Cm_apps.Dht], growable) and the pre-flat assoc-list buckets
+   ([Store_ref.Dht_boxed]) on 16 node + 8 requester processors.  Both
+   charge [bucket_work] over the entry count before mutating, so the
+   machines must end bit-identical: same digest, same completed ops,
+   same table contents.  Half the key space is preloaded, so the stream
+   both updates in place and inserts (growing flat buckets). *)
+let dht_node_procs = 16
+
+let dht_keys = 8_000
+
+let dht_spec =
+  {
+    Cm_workload.Driver.requesters = 8;
+    first_proc = dht_node_procs;
+    think = 0;
+    warmup = 10_000;
+    horizon = 50_000;
+  }
+
+let dht_run ~create ~preload ~put ~peek =
+  let m = Machine.create ~seed:42 ~n_procs:(dht_node_procs + 8) ~costs () in
+  let table = create (Cm_apps.Sysenv.make m) (Array.init dht_node_procs (fun i -> i)) in
+  for k = 0 to (dht_keys / 2) - 1 do
+    preload table ~key:(2 * k) ~value:k
+  done;
+  let metrics =
+    Cm_workload.Driver.run m dht_spec (fun _i ->
+        let* r = Thread.rng in
+        let key = Rng.int r dht_keys in
+        put table ~key ~value:(key * 3))
+  in
+  (Machine.digest m, metrics.Cm_workload.Metrics.ops, List.init dht_keys (peek table))
+
+let test_dht_flat_vs_boxed () =
+  let flat_digest, flat_ops, flat_values =
+    dht_run
+      ~create:(fun env node_procs ->
+        Cm_apps.Dht.create env ~buckets:256
+          ~mode:(Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) ~node_procs ())
+      ~preload:Cm_apps.Dht.preload ~put:Cm_apps.Dht.put ~peek:Cm_apps.Dht.peek
+  in
+  let boxed_digest, boxed_ops, boxed_values =
+    dht_run
+      ~create:(fun env node_procs ->
+        Store_ref.Dht_boxed.create env.Cm_apps.Sysenv.prelude ~buckets:256
+          ~access:Cm_core.Prelude.Rpc ~node_procs ())
+      ~preload:Store_ref.Dht_boxed.preload ~put:Store_ref.Dht_boxed.put
+      ~peek:Store_ref.Dht_boxed.peek
+  in
+  Alcotest.(check bool) "requests completed" true (flat_ops > 0);
+  Alcotest.(check string) "machine digests" boxed_digest flat_digest;
+  Alcotest.(check int) "ops" boxed_ops flat_ops;
+  Alcotest.(check (list (option int))) "table contents" boxed_values flat_values
+
+(* ------------------------------------------------------------------ *)
 (* Growth-aliasing regression                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,6 +350,7 @@ let () =
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest [ prop_store_equivalence; prop_objmig_digest_oracle ]
       );
+      ("dht", [ Alcotest.test_case "flat = boxed buckets" `Quick test_dht_flat_vs_boxed ]);
       ("aliasing", [ Alcotest.test_case "growth boundary" `Quick test_growth_aliasing ]);
       ( "replicate",
         [
