@@ -46,15 +46,16 @@ let default =
     {
       s_unit = "Cm_machine.Transport";
       s_names =
-        [ "transmit"; "dispatch"; "post"; "notify"; "call"; "migrate"; "signal"; "inject";
-          "fault_spec"; "fault_hits" ];
+        [ "dispatch"; "post"; "call"; "migrate"; "signal"; "inject"; "fault_spec";
+          "fault_hits"; "fault_plan"; "send_pooled"; "af_fill"; "af_arrive"; "send";
+          "send_step"; "notify_reply"; "post_migration" ];
     };
     (* The steady-state call path runs on the frames engine: the CPS
        combinators ([bind]/[map]/[guard]/[await]/[stall]) are the checked
-       *reference* engine — they run only under sanitizers/fault
-       injection, where their per-step closures are accepted — so they
-       left the declared hot set when the per-object consumers migrated
-       to frames (PR 10).  What is hot now is the frame machinery
+       *reference* engine — they run only under sanitizers or on a
+       machine created with the CPS engine, where their per-step closures
+       are accepted — so they left the declared hot set when the
+       per-object consumers migrated to frames (PR 10).  What is hot now is the frame machinery
        itself: the travel steps and the m-lane register accessors the
        fused method sites write through, plus context reuse: every RPC
        starts a server thread, so the exit-side [recycle] and the
@@ -80,8 +81,9 @@ let default =
        pass must catch. *)
     { s_unit = "Cm_runtime.Objspace"; s_names = [ "check"; "home"; "state"; "move" ] };
     (* The flat DHT buckets' scan/write primitives, likewise: every
-       get/put/preload crosses them, and the big-mode A/B probe's >=10x
-       allocation floor depends on their staying allocation-free. *)
+       get/put/preload crosses them, and test/test_alloc.ml's >=10x
+       fused-vs-generic floor on dht_zipf depends on their staying
+       allocation-free. *)
     (* [method_get]/[method_put]/[method_sum] are deliberately absent:
        they are the CPS *reference* bodies (generic path and sanitizer
        fall-back); the fused frame bodies run through [ms_bucket] and
@@ -95,7 +97,8 @@ let default =
                   "bucket_at"; "bkt_insert"; "bkt_grow"; "ms_bucket" ] };
     (* The fused per-object call path (PR 10): static-site and
        method-site steps walk frame registers only — every binding here
-       must stay allocation-free or the >=10x sites A/B floor erodes. *)
+       must stay allocation-free or test/test_alloc.ml's >=10x
+       fused-vs-generic floor erodes. *)
     {
       s_unit = "Cm_runtime.Runtime";
       s_names =

@@ -21,7 +21,8 @@ type t = {
   (* The fused visit method-sites (one per mechanism): every walk hop
      and fan-out visit is a [Runtime.msite] invocation — allocation-free
      steady state, digests identical to the generic path.  [fused =
-     false] keeps the generic composition for the A/B reference arm. *)
+     false] keeps the generic composition as the reference that
+     test/test_alloc.ml's fused-vs-generic check compares against. *)
   fused : bool;
   visit_rpc : int Runtime.msite;
   visit_mig : int Runtime.msite;

@@ -52,6 +52,8 @@ let preload_keys config =
   draw [] config.n_keys
 
 let run_with_machine scheme config =
+  if config.requesters <= 0 then
+    invalid_arg (Printf.sprintf "Btree_run: requesters must be positive (got %d)" config.requesters);
   let machine =
     Machine.create ~seed:config.seed
       ~n_procs:(config.node_procs + config.requesters)

@@ -8,6 +8,9 @@ let default = { requesters = 16; think = 0; horizon = 300_000; warmup = 20_000; 
 let balancer_procs = 24
 
 let run_with_machine scheme config =
+  if config.requesters <= 0 then
+    invalid_arg
+      (Printf.sprintf "Counting_run: requesters must be positive (got %d)" config.requesters);
   let machine =
     Machine.create ~seed:config.seed
       ~n_procs:(balancer_procs + config.requesters)

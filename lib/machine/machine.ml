@@ -72,7 +72,7 @@ let transport t =
   | Some tr -> tr
   | None ->
     let tr =
-      Transport.create ~sim:t.sim ~costs:t.costs ~net:t.net ~procs:t.procs ~eng:t.eng
+      Transport.create ~sim:t.sim ~costs:t.costs ~net:t.net ~procs:t.procs
         ~spawn:(fun ~on body -> spawn t ~on body)
     in
     t.transport_ <- Some tr;

@@ -13,36 +13,26 @@ open Cm_engine
      spawn, see "context lifecycle" below);
 
    - the {e CPS} engine: the original closure-per-suspension paths,
-     retained verbatim as the reference semantics for the qcheck
-     digest-equivalence oracle and the paired A/B benchmark mode.
+     retained as the reference semantics for the qcheck
+     digest-equivalence oracles in test/ and the CPS reference row
+     perfbench measures outside its table.
 
    Both engines schedule the same events at the same times in the same
    order, so run digests are bit-identical by construction (the oracle
-   in test/ proves it).  The frame paths are disabled dynamically —
-   falling back to the CPS reference — in two situations:
-
-   - sanitizers on ([Check.enabled]): the CPS paths carry the
-     [Check.linear] one-shot tokens with their original labels, so
-     double-resume detection and sanitizer digests are exactly the
-     pre-frame behavior;
-
-   - transport fault injection armed: duplicate delivery may invoke a
-     resumption twice, and a shared frame-slot resumption would
-     misdirect the second call at whatever the thread blocked on next —
-     the CPS closures reproduce the original (per-suspension) behavior
-     exactly.  [Transport.configure_faults] flips the machine's engine
-     off and [clear_faults] restores it. *)
+   in test/ proves it).  A machine picks its engine once, at
+   [Machine.create]; transport fault injection runs on either.  The one
+   dynamic fall-back is the sanitizers ([Check.enabled]): the CPS paths
+   carry the [Check.linear] one-shot tokens with their original labels,
+   so double-resume detection and sanitizer digests are exactly the
+   pre-frame behavior. *)
 
 let obj_unit : Obj.t = Obj.repr 0
 
 (* An engine also owns the machine's pool of exited thread contexts
    (see "context lifecycle" below): [spare.(0 .. n_spare - 1)] are
-   contexts ready for reuse.  [recycle_ok] is sticky — a frames engine
-   starts with it set, and {!disable_frames} clears it for good. *)
+   contexts ready for reuse. *)
 type engine = {
-  mutable frames_ok : bool;
-  frames_wanted : bool;
-  mutable recycle_ok : bool;
+  frames_ok : bool;
   mutable spare : ctx array;
   mutable n_spare : int;
 }
@@ -63,7 +53,8 @@ and ctx = {
      [f_op]/[f_kop]/[f_k] plus [f_dst]/[f_i0]/[f_after] belong to the
      thread layer; [f_v0..f_v2]/[f_i1..f_i2]/[f_after2] to the transport
      chain in flight; [f_v3]/[f_i3] to the consumer driving it
-     (runtime/objmig/shmem). *)
+     (runtime/objmig/shmem), except across a transport send or call,
+     which takes all four. *)
   mutable f_op : ctx -> unit;
   mutable f_kop : ctx -> Obj.t -> unit;
   mutable f_k : Obj.t;
@@ -103,25 +94,21 @@ and ctx = {
   mutable f_mi4 : int;
   mutable f_ms : Obj.t;
   mutable f_mv : Obj.t;
+  (* Resumptions of the context's stamped suspensions (replies) so far,
+     on either engine: a reply carries the value this had when its
+     suspension was issued and resumes only if it still has it
+     ([Frame.claim]).  Never reset — not even when the context is reused
+     — so a reply to an exited thread stays stale. *)
+  mutable gen : int;
   mutable thread_id : int;
   mutable stream : Rng.t;
   mutable exit_fn : Obj.t -> unit;  (* on_exit, shared by every exit of this thread *)
   mutable run_exit : Obj.t -> unit;
 }
 
-let cps_engine () =
-  { frames_ok = false; frames_wanted = false; recycle_ok = false; spare = [||]; n_spare = 0 }
+let cps_engine () = { frames_ok = false; spare = [||]; n_spare = 0 }
 
-let frames_engine () =
-  { frames_ok = true; frames_wanted = true; recycle_ok = true; spare = [||]; n_spare = 0 }
-
-let disable_frames e =
-  e.frames_ok <- false;
-  e.recycle_ok <- false
-
-let restore_frames e = e.frames_ok <- e.frames_wanted
-
-let frames_enabled e = e.frames_ok
+let frames_engine () = { frames_ok = true; spare = [||]; n_spare = 0 }
 
 let spare_contexts e = e.n_spare
 
@@ -290,12 +277,15 @@ let travel ~net ~dst ~words ~kind ~recv_work c k =
 
    Recycling is safe only while nothing can invoke an exited thread's
    closures again.  On a frames engine with sanitizers off every
-   resumption fires once; a CPS resumption or a fault-duplicated
-   delivery may fire after the thread exited.  So an engine that ever
-   left frames mode ([disable_frames]: faults armed) never recycles
-   again, and an exit under [Check] does not recycle.  The push happens
-   after [Processor.release], which only posts the next dispatch, so
-   nothing re-enters the context before it is on the stack. *)
+   resumption fires at most once: a reply fault injection duplicated is
+   stamped with the suspension it answers, and one arriving after that
+   suspension resumed — possibly after the thread exited and its context
+   was reused — is dropped by the transport ([Frame.claim]).  A CPS
+   resumption is a closure that may outlive its thread, so a CPS engine
+   never recycles, and an exit under [Check] does not recycle.  The push
+   happens after [Processor.release], which only posts the next
+   dispatch, so nothing re-enters the context before it is on the
+   stack. *)
 
 let default_exit (_ : Obj.t) = ()
 
@@ -313,7 +303,7 @@ let start_step c =
    payload stays reachable — and push the context on the spare stack. *)
 let recycle c =
   let e = c.eng in
-  if e.recycle_ok && not (Check.enabled ()) then begin
+  if e.frames_ok && not (Check.enabled ()) then begin
     c.f_op <- nop_op;
     c.f_kop <- nop_kop;
     c.f_k <- obj_unit;
@@ -392,6 +382,7 @@ let fresh eng ~tid ~split_from exit_fn p =
       run_kop = ignore;
       op_hid = Sim.nil_handler;
       run_exit = ignore;
+      gen = 0;
     }
   in
   c.run_op <- (fun () -> c.f_op c);
@@ -556,4 +547,13 @@ module Frame = struct
   let travel = frame_travel
 
   let release c = Processor.release c.location
+
+  let gen c = c.gen
+
+  let claim c g =
+    if c.gen = g then begin
+      c.gen <- g + 1;
+      true
+    end
+    else false
 end

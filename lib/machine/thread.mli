@@ -24,11 +24,11 @@ type ctx
     default {e frame} engine defunctionalizes suspensions into pooled
     per-thread frame slots (zero steady-state allocation), while the
     {e CPS} engine is the original closure-per-suspension reference,
-    retained for the digest-equivalence oracle and paired A/B
-    benchmarks.  Both schedule identical events — run digests are
-    bit-identical.  The frame paths fall back to the CPS reference
-    dynamically while sanitizers ([Check]) or transport fault injection
-    are active. *)
+    retained for the digest-equivalence oracles in test/ and perfbench's
+    CPS reference row.  Both schedule identical events — run digests are
+    bit-identical.  A machine's engine is fixed at creation; the frame
+    paths fall back to the CPS reference only while sanitizers
+    ([Check]) are on. *)
 
 type engine
 
@@ -37,17 +37,6 @@ val frames_engine : unit -> engine
 
 val cps_engine : unit -> engine
 (** A fresh engine forcing the CPS reference paths. *)
-
-val disable_frames : engine -> unit
-(** Dynamically force the CPS paths (used while faults are armed).  Also
-    stops, for the rest of the engine's life, the reuse of exited thread
-    contexts (see {!spawn}). *)
-
-val restore_frames : engine -> unit
-(** Undo {!disable_frames}, restoring the engine's configured variant.
-    Context reuse stays off. *)
-
-val frames_enabled : engine -> bool
 
 val spare_contexts : engine -> int
 (** The number of exited thread contexts waiting on [engine]'s spare
@@ -150,8 +139,7 @@ val spawn :
     restart at every [Machine.create] and cannot bleed across runs or
     domains.  The thread's random stream is split from [split_from]
     (one {!Rng.split} step, taken here).  [Machine.spawn] passes its
-    machine's engine, so fault gating applies to every thread of the
-    machine.
+    machine's engine, so every thread of a machine runs on one engine.
 
     A thread's context — its frame, its scheduler closures and its
     pooled [Sim] handler — is allocated once and reused: at exit it goes
@@ -159,9 +147,9 @@ val spawn :
     [spawn] pops a spare context before allocating a new one.  So an
     engine's threads must all run on one machine's processors (a spare
     context's handler is registered with that machine's simulator).
-    Reuse is only done on a frames engine that never left frames mode
-    ({!disable_frames}) and for exits with sanitizers off: there, no
-    resumption of an exited thread can still fire.  A reused context is
+    Reuse is only done on a frames engine and for exits with sanitizers
+    off: there, no resumption of an exited thread can still fire (a
+    late duplicate reply fails {!Frame.claim}).  A reused context is
     indistinguishable from a fresh one — same tid sequence, same stream,
     same events. *)
 
@@ -201,9 +189,10 @@ val ignore_m : 'a t -> unit t
     suspension — every step must read what it needs into locals before
     starting the next blocking operation.  [v0..v2]/[i1..i2]/[after2]
     belong to the transport chain in flight, [v3]/[i3] to the consumer
-    that initiated it.  Value slots are [Obj]-packed: a [setvN]/[getvN]
-    pair must agree on the type, exactly as {!Processor.enqueue_app}
-    pairs a continuation with its argument. *)
+    that initiated it (a transport send or call takes all four).  Value
+    slots are [Obj]-packed: a [setvN]/[getvN] pair must agree on the
+    type, exactly as {!Processor.enqueue_app} pairs a continuation with
+    its argument. *)
 
 module Frame : sig
   type nonrec ctx = ctx
@@ -317,4 +306,13 @@ module Frame : sig
 
   val release : ctx -> unit
   (** Release the thread's current CPU (ends a dispatch segment). *)
+
+  val gen : ctx -> int
+  (** The generation stamped on a reply to the thread's current
+      suspension (either engine).  It only grows, also across context
+      reuse, so a duplicate reply can be told from the real one. *)
+
+  val claim : ctx -> int -> bool
+  (** [claim c g]: if [g = gen c], advance [gen c] and return [true] — the
+      reply stamped [g] may resume the thread; otherwise it is stale. *)
 end

@@ -19,9 +19,11 @@ type ctrs = {
   dropped_c : Stats.counter;
   duplicated_c : Stats.counter;
   delayed_c : Stats.counter;
+  stale_c : Stats.counter;
 }
 
 type 'a kind = {
+  tp : t;  (* the owning transport: a frame step holding the kind can send *)
   ctrs : ctrs;
   net_k : Network.kind;
   recv : recv;
@@ -37,41 +39,44 @@ type 'a kind = {
   mutable f_spec : fault option;
 }
 
-let obj_unit : Obj.t = Obj.repr 0
-
-type t = {
+and t = {
   sim : Sim.t;
   costs : Costs.t;
   net : Network.t;
   n_procs : int;
   spawn : on:int -> unit Thread.t -> unit;
-  eng : Thread.engine;  (* the owning machine's engine: faults force CPS *)
   xstats : Stats.t;
   mutable kind_names : string list;  (* distinct labels, declaration order (reversed) *)
   mutable faults_on : bool;
   mutable fault_specs : (string * fault) list;
   mutable fault_gen : int;
   mutable frng : Rng.t;
-  (* Timers of fault-delayed deliveries still pending, newest first,
-     with the owning kind's dropped counter (a cancelled delivery counts
-     as dropped so the in-flight accounting stays closed). *)
-  mutable delay_timers : (Sim.token * Stats.counter) list;
-  (* Pooled arrival frames: with faults off, every dispatch/signal
-     arrival is an int slot posted through [arrive_hid] — the per-message
-     arrive closure of the original path, defunctionalized.  [af_code]
-     selects the action: 0 runs [af_fn] as a thunk, 1 applies [af_fn] to
-     [af_arg] (reply resumptions carry the value, not a wrapper), 2
-     dispatches [af_arg] as an endpoint payload. *)
+  (* Timers of fault-delayed deliveries, newest first, with the arrival
+     slot each one delivers (a cancelled delivery frees its slot and
+     counts as dropped, so the in-flight accounting stays closed). *)
+  mutable delay_timers : (Sim.token * int) list;
+  (* Pooled arrival frames: every dispatch/signal arrival is an int slot
+     posted through [af_hid] — the per-message arrive closure of the
+     original path, defunctionalized.  [af_code] selects the action: 0
+     runs [af_fn] as a thunk, 1 is a reply — [af_fn] applied to [af_arg]
+     if suspension [af_gen] of thread [af_ctx] has not resumed yet — and
+     2 dispatches [af_arg] as an endpoint payload. *)
   mutable af_kind : Obj.t array;
   mutable af_fn : Obj.t array;
   mutable af_arg : Obj.t array;
+  mutable af_ctx : Obj.t array;
   mutable af_code : int array;
   mutable af_dst : int array;
   mutable af_words : int array;
+  mutable af_gen : int array;
   mutable af_free : int array;
   mutable af_free_top : int;
-  mutable arrive_hid : Sim.hid;
+  mutable af_hid : Sim.hid;
 }
+
+let obj_unit : Obj.t = Obj.repr 0
+
+let obj_ignore : Obj.t = Obj.repr (ignore : unit -> unit)
 
 let intern_ctrs t name =
   if not (List.mem name t.kind_names) then t.kind_names <- name :: t.kind_names;
@@ -83,6 +88,7 @@ let intern_ctrs t name =
     dropped_c = c "dropped";
     duplicated_c = c "duplicated";
     delayed_c = c "delayed";
+    stale_c = c "stale";
   }
 
 let kind t ?(recv = Recv_pipeline) name =
@@ -96,6 +102,7 @@ let kind t ?(recv = Recv_pipeline) name =
         ep_delivered.(dst) <- ep_delivered.(dst) + 1)
   in
   {
+    tp = t;
     ctrs;
     net_k = Network.kind t.net name;
     recv;
@@ -106,15 +113,11 @@ let kind t ?(recv = Recv_pipeline) name =
     f_spec = None;
   }
 
-let kind_name k = k.ctrs.c_name
-
 (* Accounting accessors for external frame-path fast paths (the
    runtime's fused call sites): exactly the counter traffic [migrate_f]'s
    steps perform, exposed so a caller that already holds the per-site
    constants need not round-trip them through the frame slots. *)
 let net_kind k = k.net_k
-
-let account_posted k = Stats.Counter.incr k.ctrs.posted_c
 
 let account_delivered k ~pid =
   Stats.Counter.incr k.ctrs.delivered_c;
@@ -140,24 +143,20 @@ end
 (* Fault injection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Arming faults forces every thread of the machine onto the CPS
-   reference paths: a duplicated delivery may invoke a resumption twice,
-   and the original per-suspension closures reproduce that behavior
-   exactly, where a shared frame slot would misdirect the second call. *)
+(* Faults change which messages arrive, when, and how often — never the
+   delivery path: a faulted message is posted through the same pooled
+   arrival slots as a clean one, so the frame steps that produce the
+   fault-free numbers are the ones exercised under faults. *)
 let configure_faults t ~seed specs =
   t.fault_specs <- specs;
   t.faults_on <- specs <> [];
   t.fault_gen <- t.fault_gen + 1;
-  t.frng <- Rng.create ~seed;
-  if t.faults_on then Thread.disable_frames t.eng else Thread.restore_frames t.eng
+  t.frng <- Rng.create ~seed
 
 let clear_faults t =
   t.fault_specs <- [];
   t.faults_on <- false;
-  t.fault_gen <- t.fault_gen + 1;
-  Thread.restore_frames t.eng
-
-let faults_active t = t.faults_on
+  t.fault_gen <- t.fault_gen + 1
 
 let fault_spec t (k : _ kind) =
   if k.f_gen <> t.fault_gen then begin
@@ -170,52 +169,27 @@ let fault_spec t (k : _ kind) =
    kind does not perturb the decision stream of the others. *)
 let fault_hits t p = p > 0.0 && Rng.float t.frng 1.0 < p
 
-(* ------------------------------------------------------------------ *)
-(* Transmission                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Send one [k] message; [deliver] runs at arrival, after the delivery
-   counters are bumped.  Returns the wire latency ([0] for a dropped
-   message).  This is the fault/general path — the fault-free senders
-   below post a pooled arrival frame instead and never build [arrive]. *)
-let transmit t (k : _ kind) ~src ~dst ~words deliver =
-  Stats.Counter.incr k.ctrs.posted_c;
-  let arrive () =
-    Stats.Counter.incr k.ctrs.delivered_c;
-    k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
-    deliver ()
-  in
-  if not t.faults_on then Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive
+(* The fault decisions for one message of [k], drawn in a fixed order —
+   drop, delay, duplicate — with their counters bumped: [-1] if the
+   message is dropped, otherwise bit 0 set if it takes the extra delay
+   leg and bit 1 set if it is delivered twice.  [0], the only answer
+   with faults off, is a plain delivery. *)
+let fault_plan t k =
+  if not t.faults_on then 0
   else
     match fault_spec t k with
-    | None -> Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive
+    | None -> 0
     | Some f ->
       if fault_hits t f.drop then begin
         Stats.Counter.incr k.ctrs.dropped_c;
-        0
+        -1
       end
       else begin
-        let arrive =
-          if fault_hits t f.delay then begin
-            Stats.Counter.incr k.ctrs.delayed_c;
-            let extra = f.delay_cycles in
-            let dropped_c = k.ctrs.dropped_c in
-            (* The extra delay leg is a cancellable timer, so timeout and
-               retry logic (and tests) can revoke a delivery that is
-               still stuck in the delay stage. *)
-            fun () ->
-              let tok = Sim.timer t.sim ~delay:extra arrive in
-              t.delay_timers <- (tok, dropped_c) :: t.delay_timers
-          end
-          else arrive
-        in
-        let latency = Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive in
-        if fault_hits t f.duplicate then begin
-          Stats.Counter.incr k.ctrs.duplicated_c;
-          let (_ : int) = Network.send_k t.net ~src ~dst ~words ~kind:k.net_k arrive in
-          ()
-        end;
-        latency
+        let delayed = fault_hits t f.delay in
+        if delayed then Stats.Counter.incr k.ctrs.delayed_c;
+        let duplicated = fault_hits t f.duplicate in
+        if duplicated then Stats.Counter.incr k.ctrs.duplicated_c;
+        (if delayed then 1 else 0) lor if duplicated then 2 else 0
       end
 
 (* --- pooled arrival frames ----------------------------------------- *)
@@ -236,35 +210,44 @@ let af_grow t =
   t.af_kind <- copy_obj t.af_kind;
   t.af_fn <- copy_obj t.af_fn;
   t.af_arg <- copy_obj t.af_arg;
+  t.af_ctx <- copy_obj t.af_ctx;
   t.af_code <- copy_int t.af_code;
   t.af_dst <- copy_int t.af_dst;
   t.af_words <- copy_int t.af_words;
+  t.af_gen <- copy_int t.af_gen;
   t.af_free <- copy_int t.af_free;
   for i = 0 to cap - 1 do
     t.af_free.(t.af_free_top + i) <- cap + i
   done;
   t.af_free_top <- t.af_free_top + cap
 
-(* Post one fault-free message whose arrival action is described by a
-   pooled frame slot: counter bumps and the action dispatch happen in
-   the transport-wide [arrive_hid] handler, so the send path allocates
-   nothing.  Latency accounting and event ordering are identical to
-   [transmit]'s closure path ([Network.post_k] = [send_k]). *)
-let send_pooled t (k : _ kind) ~src ~dst ~words ~code ~fn ~arg =
-  Stats.Counter.incr k.ctrs.posted_c;
+let af_fill t (k : _ kind) ~dst ~words ~code ~fn ~arg ~ctx ~gen =
   if t.af_free_top = 0 then af_grow t;
   t.af_free_top <- t.af_free_top - 1;
   let slot = t.af_free.(t.af_free_top) in
   t.af_kind.(slot) <- Obj.repr k;
   t.af_fn.(slot) <- fn;
   t.af_arg.(slot) <- arg;
+  t.af_ctx.(slot) <- ctx;
   t.af_code.(slot) <- code;
   t.af_dst.(slot) <- dst;
   t.af_words.(slot) <- words;
-  let (_ : int) =
-    Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:t.arrive_hid ~arg:slot
-  in
-  ()
+  t.af_gen.(slot) <- gen;
+  slot
+
+let af_clone t slot =
+  af_fill t
+    (Obj.obj t.af_kind.(slot) : Obj.t kind)
+    ~dst:t.af_dst.(slot) ~words:t.af_words.(slot) ~code:t.af_code.(slot) ~fn:t.af_fn.(slot)
+    ~arg:t.af_arg.(slot) ~ctx:t.af_ctx.(slot) ~gen:t.af_gen.(slot)
+
+let af_release t slot =
+  t.af_kind.(slot) <- obj_unit;
+  t.af_fn.(slot) <- obj_unit;
+  t.af_arg.(slot) <- obj_unit;
+  t.af_ctx.(slot) <- obj_unit;
+  t.af_free.(t.af_free_top) <- slot;
+  t.af_free_top <- t.af_free_top + 1
 
 (* Receive-pipeline charge in front of an endpoint handler.  The frame
    path parks the handler and payload in the fresh thread's slots; the
@@ -299,25 +282,77 @@ let deliver_payload t (k : Obj.t kind) ~dst ~words (payload : Obj.t) =
       t.spawn ~on:dst
         (recv_piped (Costs.recv_pipeline t.costs ~words ~new_thread:true) handler payload))
 
+(* A reply whose suspension has already resumed.  Under fault injection
+   it is a duplicate — of the reply, or the reply to a duplicated
+   request — and is counted and dropped.  Without faults nothing can
+   duplicate a message, so it is a bug: fail here rather than resume the
+   thread at whatever it blocked on next. *)
+let stale_reply t (k : _ kind) ~dst =
+  if t.faults_on then Stats.Counter.incr k.ctrs.stale_c
+  else
+    failwith
+      (Printf.sprintf "Transport: stale %S reply at processor %d with no faults armed" k.ctrs.c_name
+         dst)
+
 let af_arrive t slot =
   let k : Obj.t kind = Obj.obj t.af_kind.(slot) in
   let fn = t.af_fn.(slot) in
   let arg = t.af_arg.(slot) in
+  let ctx = t.af_ctx.(slot) in
   let code = t.af_code.(slot) in
   let dst = t.af_dst.(slot) in
   let words = t.af_words.(slot) in
-  t.af_kind.(slot) <- obj_unit;
-  t.af_fn.(slot) <- obj_unit;
-  t.af_arg.(slot) <- obj_unit;
-  t.af_free.(t.af_free_top) <- slot;
-  t.af_free_top <- t.af_free_top + 1;
+  let gen = t.af_gen.(slot) in
+  af_release t slot;
   Stats.Counter.incr k.ctrs.delivered_c;
   k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
   if code = 0 then (Obj.obj fn : unit -> unit) ()
-  else if code = 1 then (Obj.obj fn : Obj.t -> unit) arg
+  else if code = 1 then begin
+    if Thread.Frame.claim (Obj.obj ctx) gen then (Obj.obj fn : Obj.t -> unit) arg
+    else stale_reply t k ~dst
+  end
   else deliver_payload t k ~dst ~words arg
 
-let create ~sim ~costs ~net ~procs ~spawn ~eng =
+(* The delay leg of a fault-delayed delivery: at network arrival the
+   slot waits [delay_cycles] more on a cancellable timer, so timeout and
+   retry logic (and tests) can revoke a delivery still stuck there.  The
+   one place a send allocates — [Sim.timer] takes a closure — which is
+   why it sits outside the hot send functions: delayed deliveries exist
+   only under fault injection. *)
+let post_delayed t k ~src ~dst ~words slot =
+  let extra = match fault_spec t k with Some f -> f.delay_cycles | None -> 0 in
+  Network.send_k t.net ~src ~dst ~words ~kind:k.net_k (fun () ->
+      let tok = Sim.timer t.sim ~delay:extra (fun () -> af_arrive t slot) in
+      t.delay_timers <- (tok, slot) :: t.delay_timers)
+
+let post_leg t k ~src ~dst ~words ~delayed slot =
+  if delayed then post_delayed t k ~src ~dst ~words slot
+  else Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:t.af_hid ~arg:slot
+
+(* Post a filled slot as [fault_plan] decided: a duplicate is a second
+   slot with the same contents, and each copy takes the delay leg if the
+   plan says so.  Returns the first copy's wire latency. *)
+let post_slot t k ~src ~dst ~words ~plan slot =
+  let twin = if plan land 2 = 0 then -1 else af_clone t slot in
+  let delayed = plan land 1 <> 0 in
+  let latency = post_leg t k ~src ~dst ~words ~delayed slot in
+  if twin >= 0 then ignore (post_leg t k ~src ~dst ~words ~delayed twin : int);
+  latency
+
+(* Post one message whose arrival action is described by a pooled frame
+   slot: counter bumps and the action dispatch happen in the
+   transport-wide [af_hid] handler, so the send path allocates
+   nothing.  The fault decisions are made here, before the slot is
+   posted. *)
+let send_pooled t k ~src ~dst ~words ~code ~fn ~arg ~ctx ~gen =
+  Stats.Counter.incr k.ctrs.posted_c;
+  let plan = fault_plan t k in
+  if plan >= 0 then
+    ignore
+      (post_slot t k ~src ~dst ~words ~plan (af_fill t k ~dst ~words ~code ~fn ~arg ~ctx ~gen)
+        : int)
+
+let create ~sim ~costs ~net ~procs ~spawn =
   let self = ref None in
   let t =
     {
@@ -326,7 +361,6 @@ let create ~sim ~costs ~net ~procs ~spawn ~eng =
       net;
       n_procs = Array.length procs;
       spawn;
-      eng;
       xstats = Stats.create ();
       kind_names = [];
       faults_on = false;
@@ -337,79 +371,60 @@ let create ~sim ~costs ~net ~procs ~spawn ~eng =
       af_kind = Array.make 16 obj_unit;
       af_fn = Array.make 16 obj_unit;
       af_arg = Array.make 16 obj_unit;
+      af_ctx = Array.make 16 obj_unit;
       af_code = Array.make 16 0;
       af_dst = Array.make 16 0;
       af_words = Array.make 16 0;
+      af_gen = Array.make 16 0;
       af_free = Array.init 16 (fun i -> i);
       af_free_top = 16;
-      arrive_hid = Sim.handler sim (fun _ -> assert false);
+      af_hid = Sim.handler sim (fun _ -> assert false);
     }
   in
   let hid =
     Sim.handler sim (fun slot ->
         match !self with Some t -> af_arrive t slot | None -> assert false)
   in
-  t.arrive_hid <- hid;
+  t.af_hid <- hid;
   self := Some t;
   t
 
 (* --- raw sends ------------------------------------------------------ *)
 
-let dispatch_slow t (k : 'a kind) ~src ~dst ~words payload =
-  let deliver () =
-    match k.handlers.(dst) with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Transport: no %S endpoint registered at processor %d" k.ctrs.c_name
-           dst)
-    | Some handler ->
-      t.spawn ~on:dst
-        (match k.recv with
-        | Recv_pipeline ->
-          let* () =
-            Thread.compute (Costs.recv_pipeline t.costs ~words ~new_thread:true)
-          in
-          handler payload
-        | Recv_bare -> handler payload)
-  in
-  let (_ : int) = transmit t k ~src ~dst ~words deliver in
-  ()
-
 let dispatch t (k : 'a kind) ~src ~dst ~words payload =
-  if t.faults_on then dispatch_slow t k ~src ~dst ~words payload
-  else send_pooled t k ~src ~dst ~words ~code:2 ~fn:obj_unit ~arg:(Obj.repr payload)
-
-let signal_slow t k ~src ~dst ~words deliver =
-  let (_ : int) = transmit t k ~src ~dst ~words deliver in
-  ()
+  send_pooled t k ~src ~dst ~words ~code:2 ~fn:obj_unit ~arg:(Obj.repr payload) ~ctx:obj_unit
+    ~gen:0
 
 let signal t k ~src ~dst ~words deliver =
-  if t.faults_on then signal_slow t k ~src ~dst ~words deliver
-  else send_pooled t k ~src ~dst ~words ~code:0 ~fn:(Obj.repr deliver) ~arg:obj_unit
-
-let signal_app t k ~src ~dst ~words (fn : 'a -> unit) (v : 'a) =
-  if t.faults_on then signal_slow t k ~src ~dst ~words (fun () -> fn v)
-  else send_pooled t k ~src ~dst ~words ~code:1 ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
+  send_pooled t k ~src ~dst ~words ~code:0 ~fn:(Obj.repr deliver) ~arg:obj_unit ~ctx:obj_unit
+    ~gen:0
 
 (* Payload-free injection is the per-message hot path of the coherence
-   controllers (several messages per miss): with faults off it posts the
-   kind's pooled arrival handler straight through the network — no
-   arrival closure, no event allocation. *)
+   controllers (several messages per miss): it posts the kind's pooled
+   arrival handler straight through the network — no arrival closure,
+   no event allocation.  A faulted injection takes a pooled slot whose
+   action is a no-op, so a delayed copy can be cancelled like any
+   other. *)
 let inject t k ~src ~dst ~words =
-  if not t.faults_on then begin
-    Stats.Counter.incr k.ctrs.posted_c;
+  Stats.Counter.incr k.ctrs.posted_c;
+  let plan = fault_plan t k in
+  if plan = 0 then
     Network.post_k t.net ~src ~dst ~words ~kind:k.net_k ~hid:k.arrive_hid ~arg:dst
-  end
-  else transmit t k ~src ~dst ~words ignore
+  else if plan < 0 then 0
+  else
+    post_slot t k ~src ~dst ~words ~plan
+      (af_fill t k ~dst ~words ~code:0 ~fn:obj_ignore ~arg:obj_unit ~ctx:obj_unit ~gen:0)
 
 let cancel_pending_delays t =
   let cancelled =
     List.fold_left
-      (fun acc (tok, dropped_c) ->
+      (fun acc (tok, slot) ->
         if Sim.cancel t.sim tok then begin
           (* The delivery will never happen: account it as dropped so
              [inflight]/[check_all_delivered] stay closed. *)
-          Stats.Counter.incr dropped_c;
+          let k : Obj.t kind = Obj.obj t.af_kind.(slot) in
+          Stats.Counter.incr k.ctrs.dropped_c;
+          af_release t slot;
           acc + 1
         end
         else acc)
@@ -424,142 +439,87 @@ let cancel_pending_delays t =
 
 (* Each sender has a frame fast path (statically-allocated steps over
    the thread's frame slots — see Thread.Frame) and the original CPS
-   monad, kept verbatim in the [_cps] sibling as the reference engine.
-   Both schedule identical events; the oracle in test/ compares their
+   monad, kept in the [_cps] sibling as the reference engine.  Both
+   schedule identical events; the oracle in test/ compares their
    digests. *)
 
-let post_cps t k ~dst ~words payload =
+(* The one-way senders ([post], [notify_reply]) charge the send
+   pipeline, then post a pooled frame from the (possibly migrated)
+   current processor.  A send ends its chain, so the frame path parks
+   the whole pooled frame in the slots: v0 the kind (the transport
+   comes from it), v1..v3 fn/arg/ctx, i1 the destination, i2 the code
+   plus four times the words, i3 the generation. *)
+let send_step c =
+  let k : Obj.t kind = Thread.Frame.getv0 c in
+  let packed = Thread.Frame.geti2 c in
+  send_pooled k.tp k
+    ~src:(Processor.id (Thread.Frame.proc c))
+    ~dst:(Thread.Frame.geti1 c) ~words:(packed lsr 2) ~code:(packed land 3)
+    ~fn:(Thread.Frame.getv1 c) ~arg:(Thread.Frame.getv2 c) ~ctx:(Thread.Frame.getv3 c)
+    ~gen:(Thread.Frame.geti3 c);
+  Thread.Frame.call_k c ()
+
+let send_cps t k ~dst ~words ~code ~fn ~arg ~ctx ~gen =
   let* p = Thread.proc in
   let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
   fun _ctx kont ->
-    dispatch t k ~src:(Processor.id p) ~dst ~words payload;
+    send_pooled t k ~src:(Processor.id p) ~dst ~words ~code ~fn ~arg ~ctx ~gen;
     kont ()
 
-let post_step c =
-  let t : t = Thread.Frame.getv0 c in
-  let k : Obj.t kind = Thread.Frame.getv1 c in
-  let payload : Obj.t = Thread.Frame.getv2 c in
-  let dst = Thread.Frame.geti1 c in
-  let words = Thread.Frame.geti2 c in
-  dispatch t k ~src:(Processor.id (Thread.Frame.proc c)) ~dst ~words payload;
-  Thread.Frame.call_k c ()
+let send t k ~dst ~words ~code ~fn ~arg ~ctx ~gen c kont =
+  if Thread.Frame.on c then begin
+    Thread.Frame.save_k c kont;
+    Thread.Frame.setv0 c k;
+    Thread.Frame.setv1 c fn;
+    Thread.Frame.setv2 c arg;
+    Thread.Frame.setv3 c ctx;
+    Thread.Frame.seti1 c dst;
+    Thread.Frame.seti2 c (code lor (words lsl 2));
+    Thread.Frame.seti3 c gen;
+    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) send_step
+  end
+  else send_cps t k ~dst ~words ~code ~fn ~arg ~ctx ~gen c kont
 
 let post t k ~dst ~words payload c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c payload;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) post_step
-  end
-  else post_cps t k ~dst ~words payload c kont
+  send t k ~dst ~words ~code:2 ~fn:obj_unit ~arg:(Obj.repr payload) ~ctx:obj_unit ~gen:0 c kont
 
-let notify_cps t k ~dst ~words deliver =
-  let* p = Thread.proc in
-  let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
-  fun _ctx kont ->
-    signal t k ~src:(Processor.id p) ~dst ~words deliver;
-    kont ()
-
-let notify_step c =
-  let t : t = Thread.Frame.getv0 c in
-  let k : Obj.t kind = Thread.Frame.getv1 c in
-  let deliver : unit -> unit = Thread.Frame.getv2 c in
-  let dst = Thread.Frame.geti1 c in
-  let words = Thread.Frame.geti2 c in
-  signal t k ~src:(Processor.id (Thread.Frame.proc c)) ~dst ~words deliver;
-  Thread.Frame.call_k c ()
-
-let notify t k ~dst ~words deliver c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c deliver;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_step
-  end
-  else notify_cps t k ~dst ~words deliver c kont
-
-let notify_app_step c =
-  let t : t = Thread.Frame.getv0 c in
-  let k : Obj.t kind = Thread.Frame.getv1 c in
-  let fn : Obj.t -> unit = Thread.Frame.getv2 c in
-  let v : Obj.t = Thread.Frame.getv3 c in
-  let dst = Thread.Frame.geti1 c in
-  let words = Thread.Frame.geti2 c in
-  signal_app t k ~src:(Processor.id (Thread.Frame.proc c)) ~dst ~words fn v;
-  Thread.Frame.call_k c ()
-
-let notify_app t k ~dst ~words (fn : 'a -> unit) (v : 'a) c kont =
-  if Thread.Frame.on c then begin
-    Thread.Frame.save_k c kont;
-    Thread.Frame.setv0 c t;
-    Thread.Frame.setv1 c k;
-    Thread.Frame.setv2 c fn;
-    Thread.Frame.setv3 c v;
-    Thread.Frame.seti1 c dst;
-    Thread.Frame.seti2 c words;
-    Thread.Frame.hold_then c (Costs.send_pipeline t.costs ~words) notify_app_step
-  end
-  else notify_cps t k ~dst ~words (fun () -> fn v) c kont
+let notify_reply t k ~dst ~words ~ctx ~gen (fn : 'a -> unit) (v : 'a) c kont =
+  send t k ~dst ~words ~code:1 ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
+    ~ctx:(Obj.repr (ctx : Thread.Frame.ctx))
+    ~gen c kont
 
 (* --- call: full RPC ------------------------------------------------- *)
+
+(* The request payload: one closure per call (it crosses the wire and
+   must survive the server body clobbering the server thread's frame
+   slots).  The server runs [body] wherever the request lands, then
+   replies from wherever the body ends up — it may itself migrate — with
+   the reply stamped by the caller's suspension [gen].  A duplicated
+   request runs the body a second time, and its reply, like a
+   duplicated reply, arrives stale and is dropped. *)
+let server_stub t reply ~caller ~ctx ~gen ~result_words (resume : 'r -> unit)
+    (body : 'r Thread.t) : unit Thread.t =
+ fun sc sk ->
+  body sc (fun r -> notify_reply t reply ~dst:caller ~words:result_words ~ctx ~gen resume r sc sk)
 
 let call_cps t ~req ~reply ~dst ~args_words ~result_words body =
   let* caller = Thread.proc in
   let caller_id = Processor.id caller in
-  (* Client stub: marshal and send the request, then block.  The server
-     side runs the payload thread at [dst] (endpoints for [req] run
-     their payload), computes, and replies from wherever the body ends
-     up — it may itself migrate. *)
+  (* Client stub: marshal and send the request, then block until the
+     reply stamped with this suspension resumes the caller. *)
   let* () = Thread.compute (Costs.send_pipeline t.costs ~words:args_words) in
   let* r =
-    Thread.await (fun ~resume ->
+   fun c kont ->
+    let gen = Thread.Frame.gen c in
+    Thread.await
+      (fun ~resume ->
         dispatch t req ~src:caller_id ~dst ~words:args_words
-          (let* r = body in
-           notify t reply ~dst:caller_id ~words:result_words (fun () -> resume r)))
+          (server_stub t reply ~caller:caller_id ~ctx:c ~gen ~result_words resume body))
+      c kont
   in
   (* Reply reception on the caller: no thread creation, just unblock. *)
   let* () = Thread.compute (Costs.recv_pipeline t.costs ~words:result_words ~new_thread:false) in
   Thread.return r
-
-(* Server side of a frame-path reply: after the body finished, charge
-   the sender pipeline at wherever it ended up, then signal the caller's
-   resumption applied to the result — no reply wrapper closure. *)
-let server_reply_step c =
-  let resume : Obj.t -> unit = Thread.Frame.getv0 c in
-  let r : Obj.t = Thread.Frame.getv1 c in
-  let t : t = Thread.Frame.getv2 c in
-  let reply : Obj.t kind = Thread.Frame.getv3 c in
-  let caller = Thread.Frame.geti1 c in
-  let words = Thread.Frame.geti2 c in
-  signal_app t reply ~src:(Processor.id (Thread.Frame.proc c)) ~dst:caller ~words resume r;
-  Thread.Frame.call_k c ()
-
-(* The request payload: one closure per call (it crosses the wire and
-   must survive the server body clobbering the server thread's frame
-   slots), plus the reply continuation it builds when the body
-   finishes. *)
-let server_stub t (reply : Obj.t kind) caller_id result_words (resume : Obj.t -> unit)
-    (body : Obj.t Thread.t) : unit Thread.t =
- fun sc sk ->
-  body sc (fun r ->
-      if Thread.Frame.on sc then begin
-        Thread.Frame.save_k sc sk;
-        Thread.Frame.setv0 sc resume;
-        Thread.Frame.setv1 sc r;
-        Thread.Frame.setv2 sc t;
-        Thread.Frame.setv3 sc reply;
-        Thread.Frame.seti1 sc caller_id;
-        Thread.Frame.seti2 sc result_words;
-        Thread.Frame.hold_then sc (Costs.send_pipeline t.costs ~words:result_words)
-          server_reply_step
-      end
-      else notify_cps t reply ~dst:caller_id ~words:result_words (fun () -> resume r) sc sk)
 
 let call_done_step c =
   let r : Obj.t = Thread.Frame.getv0 c in
@@ -587,12 +547,12 @@ let call_send_step c =
   let dst = Thread.Frame.geti1 c in
   let args_words = Thread.Frame.geti2 c in
   let result_words = Thread.Frame.geti3 c in
-  let caller_id = Processor.id (Thread.Frame.proc c) in
+  let caller = Processor.id (Thread.Frame.proc c) in
   (* [t] stays in v1 and [result_words] in i3 for the reply step; the
      other slots are dead once the stub is built. *)
   let resume = Thread.Frame.resume c call_reply_step in
-  dispatch t req ~src:caller_id ~dst ~words:args_words
-    (server_stub t reply caller_id result_words resume body);
+  dispatch t req ~src:caller ~dst ~words:args_words
+    (server_stub t reply ~caller ~ctx:c ~gen:(Thread.Frame.gen c) ~result_words resume body);
   Thread.Frame.release c
 
 let call t ~req ~reply ~dst ~args_words ~result_words body c kont =
@@ -611,27 +571,24 @@ let call t ~req ~reply ~dst ~args_words ~result_words body c kont =
 
 (* --- migrate: ship the current continuation ------------------------- *)
 
+(* The send-side accounting of one migration, shared by every migration
+   sender (both paths below and the runtime's fused call sites): count
+   the post and draw the one fault a migration takes.  [false] means the
+   message was dropped and the continuation with it; the caller ends the
+   thread by releasing its CPU.  Duplicate and delay do not apply — the
+   payload is the thread itself. *)
+let post_migration t k =
+  Stats.Counter.incr k.ctrs.posted_c;
+  let dropped =
+    t.faults_on && match fault_spec t k with Some f -> fault_hits t f.drop | None -> false
+  in
+  if dropped then Stats.Counter.incr k.ctrs.dropped_c;
+  not dropped
+
 let migrate_cps t k ~dst ~words ~fresh =
   let* p = Thread.proc in
   let* () = Thread.compute (Costs.send_pipeline t.costs ~words) in
-  let* sent =
-    fun _ctx kont ->
-     Stats.Counter.incr k.ctrs.posted_c;
-     let drop =
-       t.faults_on
-       &&
-       match fault_spec t k with
-       | Some f -> fault_hits t f.drop
-       | None -> false
-     in
-     if drop then Stats.Counter.incr k.ctrs.dropped_c;
-     kont (not drop)
-  in
-  if not sent then (
-    fun _ctx _kont ->
-      (* The continuation was lost with the message: the thread ends here
-         (the sanitizer's [dropped] counter owns the account). *)
-      Processor.release p)
+  if not (post_migration t k) then fun _ctx _kont -> Processor.release p
   else
     let* () =
       Thread.travel_k ~net:t.net ~dst ~words ~kind:k.net_k
@@ -653,13 +610,13 @@ let mig_done_step c =
 let mig_send_step c =
   let k : Obj.t kind = Thread.Frame.getv0 c in
   let t : t = Thread.Frame.getv1 c in
-  let dst : Processor.t = Thread.Frame.getv2 c in
-  let words = Thread.Frame.geti1 c in
-  let fresh = Thread.Frame.geti2 c = 1 in
-  Stats.Counter.incr k.ctrs.posted_c;
-  Thread.Frame.travel ~net:t.net ~dst ~words ~kind:k.net_k
-    ~recv_work:(Costs.recv_pipeline t.costs ~words ~new_thread:fresh)
-    ~after:mig_done_step c
+  if post_migration t k then begin
+    let words = Thread.Frame.geti1 c in
+    Thread.Frame.travel ~net:t.net ~dst:(Thread.Frame.getv2 c) ~words ~kind:k.net_k
+      ~recv_work:(Costs.recv_pipeline t.costs ~words ~new_thread:(Thread.Frame.geti2 c = 1))
+      ~after:mig_done_step c
+  end
+  else Thread.Frame.release c
 
 let migrate_f t k ~dst ~words ~fresh ~after c =
   Thread.Frame.setv0 c k;
@@ -673,7 +630,7 @@ let migrate_f t k ~dst ~words ~fresh ~after c =
 let mig_kont_step c = Thread.Frame.call_k c ()
 
 let migrate t k ~dst ~words ~fresh c kont =
-  if Thread.Frame.on c && not t.faults_on then begin
+  if Thread.Frame.on c then begin
     Thread.Frame.save_k c kont;
     migrate_f t k ~dst ~words ~fresh ~after:mig_kont_step c
   end
@@ -692,6 +649,8 @@ let posted t name = counter_of t name "posted"
 let delivered t name = counter_of t name "delivered"
 
 let dropped t name = counter_of t name "dropped"
+
+let stale t name = counter_of t name "stale"
 
 let inflight t name =
   counter_of t name "posted"

@@ -23,7 +23,8 @@
     On top of the unified path sits deterministic, seed-driven {e fault
     injection} (drop / duplicate / extra delay, per-kind probabilities,
     default off) and a {!check_all_delivered} sanitizer asserting that
-    every non-dropped post was delivered. *)
+    every non-dropped post was delivered.  Faulted messages take the same
+    pooled delivery path, and threads the same frame steps, as clean ones. *)
 
 open Cm_engine
 
@@ -37,16 +38,11 @@ val create :
   net:Network.t ->
   procs:Processor.t array ->
   spawn:(on:int -> unit Thread.t -> unit) ->
-  eng:Thread.engine ->
   t
-(** [create ~sim ~costs ~net ~procs ~spawn ~eng] is a transport sending
-    over [net] and starting handler threads through [spawn] (the
-    machine's deterministic spawner, so handler threads draw tids and rng
-    streams exactly as directly-spawned ones do).  [eng] is the owning
-    machine's thread engine: arming fault injection forces its threads
-    onto the CPS reference paths (a duplicated delivery may fire a
-    resumption twice, which shared frame slots cannot represent), and
-    disarming restores them. *)
+(** [create ~sim ~costs ~net ~procs ~spawn] is a transport sending over
+    [net] and starting handler threads through [spawn] (the machine's
+    deterministic spawner, so handler threads draw tids and rng streams
+    exactly as directly-spawned ones do). *)
 
 (** {1 Message kinds and endpoints} *)
 
@@ -75,16 +71,15 @@ val kind : t -> ?recv:recv -> string -> 'a kind
     independent subsystem instances can carry differently-typed payloads
     under one label. *)
 
-val kind_name : _ kind -> string
-(** The label [kind] was declared under. *)
-
 val net_kind : _ kind -> Network.kind
 (** The pre-interned network-level kind messages of [kind] travel as. *)
 
-val account_posted : _ kind -> unit
-(** Bump [kind]'s posted counter — the send-side accounting {!migrate_f}
-    performs, for frame-path callers that drive {!Thread.Frame.travel}
-    themselves (see {!Cm_runtime.Runtime.site_call}). *)
+val post_migration : t -> _ kind -> bool
+(** Count one migration of [kind] as posted and draw its drop fault (the
+    only fault a migration takes).  [false]: the message, and the
+    continuation with it, was dropped — the caller releases the CPU
+    instead of travelling.  For frame-path callers that drive
+    {!Thread.Frame.travel} themselves (see {!Cm_runtime.Runtime.site_call}). *)
 
 val account_delivered : _ kind -> pid:int -> unit
 (** Bump [kind]'s delivered counter and processor [pid]'s endpoint
@@ -116,18 +111,22 @@ val post : t -> 'a kind -> dst:int -> words:int -> 'a -> unit Thread.t
     one [k] message and continues; on delivery, [dst]'s endpoint runs in
     a fresh handler thread.  One-way — fire and forget. *)
 
-val notify : t -> _ kind -> dst:int -> words:int -> (unit -> unit) -> unit Thread.t
-(** [notify t k ~dst ~words f] charges the sender pipeline and sends a
-    message whose delivery runs [f] directly from the network event — no
-    handler thread.  Used for replies that resume a blocked caller (the
-    caller charges its own reception, cf. [recv_pipeline
-    ~new_thread:false]). *)
-
-val notify_app : t -> _ kind -> dst:int -> words:int -> ('a -> unit) -> 'a -> unit Thread.t
-(** [notify_app t k ~dst ~words f v] is [notify t k ~dst ~words (fun () ->
-    f v)] without the wrapper closure: the pooled arrival frame carries
-    [f] and [v] separately and applies them at delivery.  The reply path
-    for resumptions that take a value (e.g. object-migration replies). *)
+val notify_reply :
+  t ->
+  _ kind ->
+  dst:int ->
+  words:int ->
+  ctx:Thread.Frame.ctx ->
+  gen:int ->
+  ('a -> unit) ->
+  'a ->
+  unit Thread.t
+(** [notify_reply t k ~dst ~words ~ctx ~gen f v] charges the sender
+    pipeline and sends [v] to thread [ctx]'s suspension [gen]
+    ({!Thread.Frame.gen}); at delivery [f v] runs if {!Thread.Frame.claim}
+    admits it.  A stale reply — its suspension already resumed — is
+    counted in {!stale} and dropped under fault injection, and raises
+    [Failure] with faults off. *)
 
 val call :
   t ->
@@ -141,9 +140,9 @@ val call :
 (** [call t ~req ~reply ~dst ~args_words ~result_words body] is a full
     remote procedure call: charge the sender pipeline for the request,
     block, and dispatch a [req] message whose payload is the server
-    computation (run [body] at [dst], then {!notify} the [reply] back,
-    resuming the caller — [body] may itself migrate; the reply is sent
-    from wherever it finishes).  The caller then charges reply reception
+    computation (run [body] at [dst], then {!notify_reply} the [reply]
+    back — [body] may itself migrate; the reply is sent from wherever it
+    finishes).  The caller then charges reply reception
     ([recv_pipeline ~new_thread:false]) and continues with the result.
     [req]'s endpoints must run their payload (register [fun m -> m]). *)
 
@@ -168,8 +167,8 @@ val migrate_f :
   unit
 (** Direct-style {!migrate} for frame-path consumers: charges the sender
     pipeline, travels, and runs [after] at the destination holding the
-    CPU.  Only valid when [Thread.Frame.on] holds for the context (which
-    implies faults are off — arming faults disables the frames). *)
+    CPU.  Only valid when [Thread.Frame.on] holds for the context.  A
+    dropped migration ends the thread, as in {!migrate}. *)
 
 (** {1 Raw operations (event context)} *)
 
@@ -182,13 +181,8 @@ val dispatch : t -> 'a kind -> src:int -> dst:int -> words:int -> 'a -> unit
 
 val signal : t -> _ kind -> src:int -> dst:int -> words:int -> (unit -> unit) -> unit
 (** [signal t k ~src ~dst ~words f] injects a message whose delivery
-    runs [f] directly from the network event, as {!notify} but without
-    the sender-pipeline charge. *)
-
-val signal_app : t -> _ kind -> src:int -> dst:int -> words:int -> ('a -> unit) -> 'a -> unit
-(** [signal_app t k ~src ~dst ~words f v] is [signal] of [fun () -> f v]
-    without allocating the wrapper: the pooled arrival frame carries [f]
-    and [v] separately. *)
+    runs [f] directly from the network event — no handler thread, no
+    sender-pipeline charge. *)
 
 val inject : t -> _ kind -> src:int -> dst:int -> words:int -> int
 (** [inject t k ~src ~dst ~words] injects a payload-only message (the
@@ -201,7 +195,9 @@ val inject : t -> _ kind -> src:int -> dst:int -> words:int -> int
     Deterministic and seed-driven: equal seeds and equal traffic yield
     equal fault decisions.  Default off — with no configuration the send
     path draws no random numbers and schedules no extra events, so run
-    digests are untouched. *)
+    digests are untouched.  A duplicated payload starts a second handler
+    thread and a duplicated reply is stale; a {!signal} thunk runs twice,
+    so do not duplicate kinds whose thunks resume threads. *)
 
 type fault = {
   drop : float;  (** probability the message vanishes in transit *)
@@ -217,13 +213,12 @@ val configure_faults : t -> seed:int -> (string * fault) list -> unit
 (** [configure_faults t ~seed specs] arms fault injection for the kinds
     named in [specs] (by label; kinds not listed are unaffected).
     Decisions are drawn from a fresh generator seeded with [seed], in
-    send order — same seed, same workload ⇒ same faults.  Replaces any
-    previous configuration. *)
+    send order — per message drop, then delay, then duplicate — so same
+    seed, same workload ⇒ same faults.  Replaces any previous
+    configuration. *)
 
 val clear_faults : t -> unit
-(** Disarm fault injection (restores the zero-overhead path). *)
-
-val faults_active : t -> bool
+(** Disarm fault injection: no further decisions are drawn. *)
 
 val cancel_pending_delays : t -> int
 (** [cancel_pending_delays t] revokes every fault-delayed delivery that
@@ -236,7 +231,7 @@ val cancel_pending_delays : t -> int
 (** {1 Delivery accounting}
 
     Counters live in a transport-owned {!Stats.t} registry under
-    [xport.<kind>.{posted,delivered,dropped,duplicated,delayed}] —
+    [xport.<kind>.{posted,delivered,dropped,duplicated,delayed,stale}] —
     deliberately {e not} the machine's registry, which feeds the run
     digests compared by [repro selfcheck]. *)
 
@@ -251,6 +246,11 @@ val delivered : t -> string -> int
 (** Deliveries of kind [name] (a duplicated message delivers twice). *)
 
 val dropped : t -> string -> int
+
+val stale : t -> string -> int
+(** Replies of kind [name] that arrived after their suspension had
+    resumed, and were dropped (see {!notify_reply}).  They count as
+    delivered. *)
 
 val inflight : t -> string -> int
 (** [posted + duplicated - delivered - dropped] for kind [name] — the

@@ -110,9 +110,12 @@ let object_moves t = Stats.get (stats t) "objmig.moves"
 (* Run [m] on the object as a handler occupying the delivery processor's
    CPU, then reply to [caller]; [resume] receives a pooled reply slot
    holding the result and the object's home at execution time (to repair
-   the caller's hint).  The transport charges the receive pipeline
-   before this body runs. *)
-let rec serve t i ~caller ~args_words ~result_words m (resume : int -> unit) : unit Thread.t =
+   the caller's hint).  The reply is stamped with the caller's
+   suspension ([ctx], [gen]), so the reply to a duplicated request is
+   dropped as stale.  The transport charges the receive pipeline before
+   this body runs. *)
+let rec serve t i ~caller ~ctx ~gen ~args_words ~result_words m (resume : int -> unit) :
+    unit Thread.t =
   let* p = Thread.proc in
   let on = Processor.id p in
   let here = Objspace.home t.space i in
@@ -121,12 +124,12 @@ let rec serve t i ~caller ~args_words ~result_words m (resume : int -> unit) : u
     let slot = rs_alloc t in
     t.rs_r.(slot) <- Obj.repr r;
     t.rs_home.(slot) <- on;
-    Transport.notify_app t.tp t.reply_k ~dst:caller ~words:result_words resume slot
+    Transport.notify_reply t.tp t.reply_k ~dst:caller ~words:result_words ~ctx ~gen resume slot
   else begin
     (* Stale home: forward the request to where the object went. *)
     Stats.incr (stats t) "objmig.forwards";
     Transport.post t.tp t.forward_k ~dst:here ~words:args_words
-      (serve t i ~caller ~args_words ~result_words m resume)
+      (serve t i ~caller ~ctx ~gen ~args_words ~result_words m resume)
   end
 
 let call_cps t i ~args_words ~result_words m =
@@ -140,9 +143,13 @@ let call_cps t i ~args_words ~result_words m =
     let target = if believed = pid then Objspace.home t.space i else believed in
     let* () = Thread.compute (Costs.send_pipeline c ~words:args_words) in
     let* slot =
-      Thread.await (fun ~resume ->
+     fun ctx k ->
+      let gen = Thread.Frame.gen ctx in
+      Thread.await
+        (fun ~resume ->
           Transport.dispatch t.tp t.call_k ~src:pid ~dst:target ~words:args_words
-            (serve t i ~caller:pid ~args_words ~result_words m resume))
+            (serve t i ~caller:pid ~ctx ~gen ~args_words ~result_words m resume))
+        ctx k
     in
     let r = Obj.obj t.rs_r.(slot) in
     let home = t.rs_home.(slot) in
@@ -196,7 +203,8 @@ let om_send_step c =
   let args_words = Thread.Frame.getm1 c in
   let resume : int -> unit = Thread.Frame.resume c om_resume_step in
   Transport.dispatch t.tp t.call_k ~src:pid ~dst:(Thread.Frame.getm4 c) ~words:args_words
-    (serve t i ~caller:pid ~args_words ~result_words:(Thread.Frame.getm2 c)
+    (serve t i ~caller:pid ~ctx:c ~gen:(Thread.Frame.gen c) ~args_words
+       ~result_words:(Thread.Frame.getm2 c)
        (Obj.magic (Thread.Frame.getmv c) : Obj.t -> Obj.t Thread.t)
        resume);
   Thread.Frame.release c

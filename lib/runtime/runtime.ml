@@ -187,9 +187,10 @@ let site_arrived_step c =
 
 let site_send_step c =
   let s : Obj.t site = Thread.Frame.getv0 c in
-  Transport.account_posted s.s_rt.migrate_k;
-  Thread.Frame.travel ~net:s.s_net ~dst:s.s_dst ~words:s.s_args_words ~kind:s.s_netk
-    ~recv_work:s.s_recv ~after:site_arrived_step c
+  if Transport.post_migration s.s_rt.tp s.s_rt.migrate_k then
+    Thread.Frame.travel ~net:s.s_net ~dst:s.s_dst ~words:s.s_args_words ~kind:s.s_netk
+      ~recv_work:s.s_recv ~after:site_arrived_step c
+  else Thread.Frame.release c
 
 let site_step c =
   let s : Obj.t site = Thread.Frame.getv0 c in
@@ -276,10 +277,11 @@ let scope t ?(at_base = false) ~result_words body =
    [Thread.Frame.hold_then]-style steps, and must end with exactly one
    [msite_finish].  It owns the m-lane for the duration and must not
    start another method-site call.  [cps_body] is the same method as a
-   generic monad — the reference engine runs it (sanitizers, faults,
-   the CPS A/B arm), and the RPC arm ships it as the server stub — so
-   both bodies must charge identical costs in identical order; the
-   qcheck oracle in test/ holds them to that.
+   generic monad — the reference engine runs it (under sanitizers, and
+   for perfbench's out-of-table CPS reference run), and the RPC arm
+   ships it as the server stub — so both bodies must charge identical
+   costs in identical order; the qcheck oracle in test/ holds them to
+   that.
 
    Event, counter, and cost sequences replay [scope]([call]) exactly, so
    run digests cannot tell a fused call from a generic one. *)
@@ -330,10 +332,11 @@ let msite_arrived_step c =
 
 let msite_send_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
-  Transport.account_posted ms.m_rt.migrate_k;
-  Thread.Frame.travel ~net:ms.m_net
-    ~dst:(Machine.proc ms.m_rt.machine (Thread.Frame.getm3 c))
-    ~words:ms.m_args_words ~kind:ms.m_netk ~recv_work:ms.m_recv ~after:msite_arrived_step c
+  if Transport.post_migration ms.m_rt.tp ms.m_rt.migrate_k then
+    Thread.Frame.travel ~net:ms.m_net
+      ~dst:(Machine.proc ms.m_rt.machine (Thread.Frame.getm3 c))
+      ~words:ms.m_args_words ~kind:ms.m_netk ~recv_work:ms.m_recv ~after:msite_arrived_step c
+  else Thread.Frame.release c
 
 let msite_call_step c =
   let ms : Obj.t msite = Thread.Frame.getms c in
@@ -391,7 +394,7 @@ let msite_call ms ~obj ~a ~b c k =
       ~access:(if ms.m_migrate then Migrate else Rpc)
       ~home:(Objspace.home ms.m_space (Objspace.id_of_int obj))
       ~args_words:ms.m_args_words ~result_words:ms.m_result_words
-      (* lint: allow hot-alloc CPS fall-back arm — runs only under sanitizers/fault injection *)
+      (* lint: allow hot-alloc CPS reference arm — runs only under sanitizers or on a Cps-engine machine *)
       (ms.m_cps_body ~obj ~a ~b) c k
 
 let msite_scoped ms ~obj ~a ~b c k =
@@ -402,7 +405,7 @@ let msite_scoped ms ~obj ~a ~b c k =
          ~access:(if ms.m_migrate then Migrate else Rpc)
          ~home:(Objspace.home ms.m_space (Objspace.id_of_int obj))
          ~args_words:ms.m_args_words ~result_words:ms.m_result_words
-         (* lint: allow hot-alloc CPS fall-back arm — runs only under sanitizers/fault injection *)
+         (* lint: allow hot-alloc CPS reference arm — runs only under sanitizers or on a Cps-engine machine *)
          (ms.m_cps_body ~obj ~a ~b))
       c k
 

@@ -106,8 +106,8 @@ val scope : t -> ?at_base:bool -> result_words:int -> 'r Thread.t -> 'r Thread.t
     and walks static steps; the whole call/migrate/return cycle
     allocates nothing.  Events, counters, and costs replay
     {!scope}({!call}) exactly, so run digests cannot tell a fused call
-    from a generic one; under sanitizers or armed faults the invocation
-    falls back to the CPS reference path built from [cps_body]. *)
+    from a generic one; under sanitizers, or on a [Cps]-engine machine,
+    the invocation takes the CPS reference path built from [cps_body]. *)
 
 type 'r msite
 

@@ -11,6 +11,7 @@ type spec = {
 
 let run machine spec request =
   if spec.requesters <= 0 then invalid_arg "Driver.run: no requesters";
+  if spec.think < 0 then invalid_arg "Driver.run: negative think time";
   if spec.warmup >= spec.horizon then invalid_arg "Driver.run: warmup past horizon";
   let ops = ref 0 in
   let latency_sum = ref 0 in

@@ -761,8 +761,9 @@ let test_machine_shards_compat () =
 
 (* Registers an RPC endpoint pair on [m]; the returned function runs
    [n] sequential calls from processor 0 to processor 1 (each starting a
-   server thread there) to quiescence and returns the server tids in
-   call order. *)
+   server thread there) to quiescence and returns, in call order, the
+   tid of the server thread each call's result came from — one entry
+   per completed call. *)
 let rpc_client m =
   let tp = Machine.transport m in
   let req = Transport.kind tp "rpc" in
@@ -772,11 +773,14 @@ let rpc_client m =
     let tids = ref [] in
     Machine.spawn m ~on:0
       (Thread.repeat n (fun _ ->
-           Thread.ignore_m
-             (Transport.call tp ~req ~reply ~dst:1 ~args_words:8 ~result_words:8
-                (let* tid = Thread.tid in
-                 tids := tid :: !tids;
-                 Thread.compute 10))));
+           let* tid =
+             Transport.call tp ~req ~reply ~dst:1 ~args_words:8 ~result_words:8
+               (let* tid = Thread.tid in
+                let* () = Thread.compute 10 in
+                Thread.return tid)
+           in
+           tids := tid :: !tids;
+           Thread.return ()));
     Machine.run m;
     List.rev !tids
 
@@ -832,26 +836,38 @@ let test_reused_context_stream () =
   | _ -> Alcotest.fail "expected two threads");
   Alcotest.(check (list (list int))) "streams and tids equal a fresh spawn's" cps_out frames_out
 
-(* Duplicate delivery can resume an exited thread, so arming faults
-   stops reuse for the machine's lifetime — also after [clear_faults] —
-   and the run stays identical to the CPS reference. *)
-let test_faults_stop_reuse () =
-  let dup = { Transport.drop = 0.0; duplicate = 1.0; delay = 0.0; delay_cycles = 0 } in
+(* Duplicating every request and every reply sends four replies per
+   call: two server threads each reply twice.  The reply is stamped with
+   the caller's suspension, so the first one resumes it and the other
+   three are stale — counted and dropped, never resuming the caller a
+   second time or at its next suspension.  The frames engine runs under
+   these faults with context reuse on, and matches the CPS reference. *)
+let test_duplicate_replies_dropped () =
+  let dup = { Transport.no_fault with duplicate = 1.0 } in
+  let calls = 6 in
   let run engine =
     let m = Machine.create ~seed:5 ~engine ~n_procs:4 ~costs:Costs.software () in
-    let calls = rpc_client m in
+    let call = rpc_client m in
     let tp = Machine.transport m in
-    Transport.configure_faults tp ~seed:3 [ ("rpc", dup) ];
-    let (_ : int list) = calls 3 in
-    Alcotest.(check bool) "requests duplicated" true
-      (Transport.delivered tp "rpc" > Transport.posted tp "rpc");
-    Alcotest.(check int) "no reuse under faults" 0 (Thread.spare_contexts m.Machine.eng);
+    Transport.configure_faults tp ~seed:3 [ ("rpc", dup); ("rpc_reply", dup) ];
+    let tids = call calls in
+    Alcotest.(check int) "each call completes once" calls (List.length tids);
+    Alcotest.(check int) "requests duplicated" (2 * calls) (Transport.delivered tp "rpc");
+    Alcotest.(check int) "four replies per call" (4 * calls) (Transport.delivered tp "rpc_reply");
+    Alcotest.(check int) "surplus replies are stale"
+      (Transport.delivered tp "rpc_reply" - calls)
+      (Transport.stale tp "rpc_reply");
+    Transport.check_all_delivered tp;
+    let spare = Thread.spare_contexts m.Machine.eng in
     Transport.clear_faults tp;
-    let (_ : int list) = calls 50 in
-    Alcotest.(check int) "no reuse after clear_faults" 0 (Thread.spare_contexts m.Machine.eng);
-    Machine.digest m
+    let (_ : int list) = call calls in
+    Alcotest.(check int) "no duplicates once cleared" (3 * calls) (Transport.delivered tp "rpc");
+    (spare, Machine.digest m)
   in
-  Alcotest.(check string) "frames digest = cps digest" (run Machine.Cps) (run Machine.Frames)
+  let spare, frames = run Machine.Frames in
+  Alcotest.(check bool) "contexts reused under faults" true (spare > 0);
+  let _, cps = run Machine.Cps in
+  Alcotest.(check string) "frames digest = cps digest" cps frames
 
 (* ------------------------------------------------------------------ *)
 (* Engine oracle: frames vs CPS                                       *)
@@ -1002,7 +1018,7 @@ let () =
           Alcotest.test_case "spawn on_exit" `Quick test_machine_spawn_on_exit;
           Alcotest.test_case "rpc reuses contexts" `Quick test_rpc_reuses_contexts;
           Alcotest.test_case "reused context stream" `Quick test_reused_context_stream;
-          Alcotest.test_case "faults stop reuse" `Quick test_faults_stop_reuse;
+          Alcotest.test_case "duplicate replies dropped" `Quick test_duplicate_replies_dropped;
           Alcotest.test_case "determinism" `Quick test_machine_determinism;
           Alcotest.test_case "proc bounds" `Quick test_machine_proc_bounds;
           Alcotest.test_case "shards compatibility" `Quick test_machine_shards_compat;

@@ -415,16 +415,50 @@ let test_msite_checked_falls_back () =
   Alcotest.check obs "checked run identical" (as_obs (fst plain)) (as_obs (fst checked));
   Alcotest.(check (list int)) "checked results identical" (snd plain) (snd checked)
 
-let test_msite_faults_fall_back () =
-  (* Arming fault injection (even all-zero probabilities) disables the
-     frame engine; the msite's CPS fall-back must preserve every
-     observable. *)
+(* Four requesters make scoped fused calls over four objects while 20%
+   of "migrate" messages are dropped: a requester whose continuation is
+   lost stops there.  The fused send step draws the same drop decision
+   as the CPS path, so both engines agree on the whole machine. *)
+let lossy_msite_run engine =
+  let m = Machine.create ~seed:3 ~engine ~n_procs:8 ~costs () in
+  let rt = Runtime.create m in
+  let tp = Machine.transport m in
+  let space = Objspace.create m in
+  let objs = Array.init 4 (fun i -> Objspace.register space ~home:((2 * i) + 1) (Obj.repr i)) in
+  let ms =
+    Runtime.msite rt ~access:Runtime.Migrate ~space ~args_words:8 ~result_words:2
+      ~frame_body:(ms_frame_body space) ~cps_body:(ms_cps_body space)
+  in
+  Transport.configure_faults tp ~seed:4 [ ("migrate", { Transport.no_fault with drop = 0.2 }) ];
+  let completed = ref 0 in
+  for r = 0 to 3 do
+    Machine.spawn m ~on:(2 * r)
+      (Thread.repeat 10 (fun j ->
+           let* (_ : int) = Runtime.msite_scoped ms ~obj:(objs.((r + j) mod 4) :> int) ~a:j ~b:r in
+           incr completed;
+           Thread.return ()))
+  done;
+  Machine.run m;
+  Transport.check_all_delivered tp;
+  (Machine.digest m, !completed, Transport.dropped tp "migrate")
+
+let test_msite_faults_on_frames () =
+  (* Arming fault injection leaves the engine alone: with all-zero
+     probabilities the fused frame path runs and every observable
+     matches an unarmed run. *)
   let plain = measure_msite ~access:Runtime.Migrate ~fused:true msite_repeat_script in
   let armed =
     measure_msite ~access:Runtime.Migrate ~fused:true ~arm_faults:true msite_repeat_script
   in
   Alcotest.check obs "armed run identical" (as_obs (fst plain)) (as_obs (fst armed));
-  Alcotest.(check (list int)) "armed results identical" (snd plain) (snd armed)
+  Alcotest.(check (list int)) "armed results identical" (snd plain) (snd armed);
+  let frames, completed, dropped = lossy_msite_run Machine.Frames in
+  let cps, cps_completed, cps_dropped = lossy_msite_run Machine.Cps in
+  Alcotest.(check bool) "some migrations dropped" true (dropped > 0);
+  Alcotest.(check bool) "dropped continuations never complete" true (completed < 40);
+  Alcotest.(check int) "same drops" cps_dropped dropped;
+  Alcotest.(check int) "same completions" cps_completed completed;
+  Alcotest.(check string) "frames digest = cps digest" cps frames
 
 (* The whole-machine oracle: random interleavings of scoped calls,
    unscoped calls, and object moves from two requesters over a shared
@@ -835,6 +869,39 @@ let test_objmig_remote_call () =
   Alcotest.(check int) "two messages" 2 (Network.total_messages m.Machine.net);
   Alcotest.(check int) "no forwards" 0 (Objmig.forwards om)
 
+(* Duplicated object-migration requests and replies: each call's method
+   runs twice, but the stamped reply resumes the caller once and the
+   other three replies per call are stale.  Both engines agree. *)
+let test_objmig_duplicate_replies () =
+  let run engine =
+    let m = Machine.create ~seed:3 ~engine ~n_procs:8 ~costs () in
+    let rt = Runtime.create m in
+    let space = Objspace.create m in
+    let om = Objmig.create rt space ~words_of:(fun (_ : int ref) -> 20) in
+    let i = Objspace.register space ~home:4 (ref 0) in
+    let tp = Machine.transport m in
+    let dup = { Transport.no_fault with duplicate = 1.0 } in
+    Transport.configure_faults tp ~seed:2 [ ("objmig_call", dup); ("objmig_reply", dup) ];
+    let results = ref [] in
+    run_thread ~on:0 m
+      (Thread.repeat 3 (fun _ ->
+           let* v =
+             Objmig.call om i ~args_words:4 ~result_words:2 (fun c ->
+                 incr c;
+                 Thread.return !c)
+           in
+           results := v :: !results;
+           Thread.return ()));
+    Transport.check_all_delivered tp;
+    (!results, Transport.stale tp "objmig_reply", Machine.digest m)
+  in
+  let results, stale, frames = run Machine.Frames in
+  Alcotest.(check int) "each call completes once" 3 (List.length results);
+  Alcotest.(check int) "three stale replies per call" 9 stale;
+  let cps_results, _, cps = run Machine.Cps in
+  Alcotest.(check (list int)) "same results" cps_results results;
+  Alcotest.(check string) "frames digest = cps digest" cps frames
+
 let test_objmig_forwarding_then_learned () =
   let m, _, space, om = mk_objmig () in
   let i = Objspace.register space ~home:2 (ref 0) in
@@ -1240,7 +1307,7 @@ let () =
           Alcotest.test_case "msite rebinds on move" `Quick test_msite_rebinds_on_move;
           Alcotest.test_case "msite unscoped sticky" `Quick test_msite_unscoped_sticky;
           Alcotest.test_case "msite checked fallback" `Quick test_msite_checked_falls_back;
-          Alcotest.test_case "msite faults fallback" `Quick test_msite_faults_fall_back;
+          Alcotest.test_case "msite faults on frames" `Quick test_msite_faults_on_frames;
           Alcotest.test_case "scope returns home" `Quick test_scope_returns_home;
           Alcotest.test_case "scope at base" `Quick test_scope_at_base_short_circuits;
           Alcotest.test_case "scope local free" `Quick test_scope_local_body_free;
@@ -1272,6 +1339,7 @@ let () =
       ( "objmig",
         [
           Alcotest.test_case "remote call" `Quick test_objmig_remote_call;
+          Alcotest.test_case "duplicate replies dropped" `Quick test_objmig_duplicate_replies;
           Alcotest.test_case "forwarding then learned" `Quick test_objmig_forwarding_then_learned;
           Alcotest.test_case "pull then local" `Quick test_objmig_pull_then_local;
           Alcotest.test_case "write-shared pingpong" `Quick

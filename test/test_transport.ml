@@ -292,6 +292,42 @@ let test_cancel_pending_delays () =
   Alcotest.(check int) "no handler ever ran" 0 !handled;
   Alcotest.(check int) "second sweep finds nothing" 0 (Transport.cancel_pending_delays tp)
 
+(* A reply is stamped with the suspension it answers.  Two replies to
+   one suspension: the first resumes the thread, the second is stale —
+   counted and dropped under fault injection, on either engine, and a
+   failure when no faults are armed (nothing could have duplicated it). *)
+let double_reply ~engine ~armed =
+  let m = Machine.create ~seed:11 ~engine ~n_procs:8 ~costs () in
+  let tp = Machine.transport m in
+  let k = Transport.kind tp "answer" in
+  if armed then Transport.configure_faults tp ~seed:1 [ ("answer", Transport.no_fault) ];
+  let got = ref [] in
+  Machine.spawn m ~on:0 (fun c kont ->
+      let gen = Thread.Frame.gen c in
+      Thread.await
+        (fun ~resume ->
+          Machine.spawn m ~on:3
+            (let* () = Transport.notify_reply tp k ~dst:0 ~words:2 ~ctx:c ~gen resume 1 in
+             Transport.notify_reply tp k ~dst:0 ~words:2 ~ctx:c ~gen resume 2))
+        c
+        (fun v ->
+          got := v :: !got;
+          kont ()));
+  Machine.run m;
+  (!got, Transport.stale tp "answer", tp)
+
+let test_stale_reply () =
+  List.iter
+    (fun engine ->
+      let got, stale, tp = double_reply ~engine ~armed:true in
+      Alcotest.(check (list int)) "first reply resumes, once" [ 1 ] got;
+      Alcotest.(check int) "second reply stale" 1 stale;
+      Transport.check_all_delivered tp;
+      match double_reply ~engine ~armed:false with
+      | _ -> Alcotest.fail "stale reply without faults went unnoticed"
+      | exception Failure _ -> ())
+    [ Machine.Frames; Machine.Cps ]
+
 let test_sanitizer_catches_lost_message () =
   (* Stop the run before the message can arrive: it is posted, not
      dropped, and never delivered — exactly what the sanitizer exists to
@@ -345,6 +381,7 @@ let () =
           Alcotest.test_case "duplicate everything" `Quick test_duplicate_all;
           Alcotest.test_case "delay everything" `Quick test_delay_all;
           Alcotest.test_case "cancel pending delays" `Quick test_cancel_pending_delays;
+          Alcotest.test_case "stale reply dropped or fatal" `Quick test_stale_reply;
           Alcotest.test_case "sanitizer catches a lost message" `Quick
             test_sanitizer_catches_lost_message;
         ] );

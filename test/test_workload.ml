@@ -78,7 +78,24 @@ let test_driver_validates () =
       ignore
         (Driver.run machine
            { Driver.requesters = 0; first_proc = 0; think = 0; warmup = 0; horizon = 5 }
+           (fun _ -> Thread.return ())));
+  Alcotest.check_raises "negative think" (Invalid_argument "Driver.run: negative think time")
+    (fun () ->
+      ignore
+        (Driver.run machine
+           { Driver.requesters = 1; first_proc = 0; think = -5; warmup = 0; horizon = 5 }
            (fun _ -> Thread.return ())))
+
+(* A negative requester count is named as such before any machine is
+   built, not reported as a bad processor number from deep in setup. *)
+let test_apps_validate_requesters () =
+  Alcotest.check_raises "btree"
+    (Invalid_argument "Btree_run: requesters must be positive (got -3)") (fun () ->
+      ignore (Btree_run.run Scheme.Sm { Btree_run.default with Btree_run.requesters = -3 }));
+  Alcotest.check_raises "counting"
+    (Invalid_argument "Counting_run: requesters must be positive (got -3)") (fun () ->
+      ignore
+        (Counting_run.run Scheme.Sm { Counting_run.default with Counting_run.requesters = -3 }))
 
 let test_driver_latency_tracked () =
   let machine = Machine.create ~seed:1 ~n_procs:2 ~costs:Costs.software () in
@@ -231,6 +248,7 @@ let () =
           Alcotest.test_case "think time" `Quick test_driver_think_time_slows;
           Alcotest.test_case "warmup excluded" `Quick test_driver_warmup_excluded;
           Alcotest.test_case "validates" `Quick test_driver_validates;
+          Alcotest.test_case "apps validate requesters" `Quick test_apps_validate_requesters;
           Alcotest.test_case "latency tracked" `Quick test_driver_latency_tracked;
           Alcotest.test_case "deterministic" `Quick test_driver_deterministic;
         ] );
