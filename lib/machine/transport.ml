@@ -37,6 +37,9 @@ type 'a kind = {
      configuration changes. *)
   mutable f_gen : int;
   mutable f_spec : fault option;
+  (* Run on the value of a [notify_reply] of this kind dropped as stale,
+     so a sender that pooled the value can reclaim it (see [on_stale]). *)
+  mutable stale_fn : Obj.t -> unit;
 }
 
 and t = {
@@ -51,16 +54,16 @@ and t = {
   mutable fault_specs : (string * fault) list;
   mutable fault_gen : int;
   mutable frng : Rng.t;
-  (* Timers of fault-delayed deliveries, newest first, with the arrival
-     slot each one delivers (a cancelled delivery frees its slot and
-     counts as dropped, so the in-flight accounting stays closed). *)
-  mutable delay_timers : (Sim.token * int) list;
   (* Pooled arrival frames: every dispatch/signal arrival is an int slot
      posted through [af_hid] — the per-message arrive closure of the
      original path, defunctionalized.  [af_code] selects the action: 0
      runs [af_fn] as a thunk, 1 is a reply — [af_fn] applied to [af_arg]
-     if suspension [af_gen] of thread [af_ctx] has not resumed yet — and
-     2 dispatches [af_arg] as an endpoint payload. *)
+     if suspension [af_gen] of thread [af_ctx] has not resumed yet — 2
+     dispatches [af_arg] as an endpoint payload, and 3 is a reply whose
+     kind's [stale_fn] reclaims [af_arg] if it arrives stale.
+     [af_timer] holds the timer of a fault-delayed delivery while it
+     waits out its extra delay (a cancelled delivery frees its slot and
+     counts as dropped, so the in-flight accounting stays closed). *)
   mutable af_kind : Obj.t array;
   mutable af_fn : Obj.t array;
   mutable af_arg : Obj.t array;
@@ -69,6 +72,7 @@ and t = {
   mutable af_dst : int array;
   mutable af_words : int array;
   mutable af_gen : int array;
+  mutable af_timer : Sim.token option array;
   mutable af_free : int array;
   mutable af_free_top : int;
   mutable af_hid : Sim.hid;
@@ -111,7 +115,10 @@ let kind t ?(recv = Recv_pipeline) name =
     arrive_hid;
     f_gen = -1;
     f_spec = None;
+    stale_fn = ignore;
   }
+
+let on_stale (k : 'a kind) (f : 'a -> unit) = k.stale_fn <- (Obj.magic f : Obj.t -> unit)
 
 (* Accounting accessors for external frame-path fast paths (the
    runtime's fused call sites): exactly the counter traffic [migrate_f]'s
@@ -215,6 +222,9 @@ let af_grow t =
   t.af_dst <- copy_int t.af_dst;
   t.af_words <- copy_int t.af_words;
   t.af_gen <- copy_int t.af_gen;
+  let timers = Array.make ncap None in
+  Array.blit t.af_timer 0 timers 0 cap;
+  t.af_timer <- timers;
   t.af_free <- copy_int t.af_free;
   for i = 0 to cap - 1 do
     t.af_free.(t.af_free_top + i) <- cap + i
@@ -307,11 +317,12 @@ let af_arrive t slot =
   Stats.Counter.incr k.ctrs.delivered_c;
   k.ep_delivered.(dst) <- k.ep_delivered.(dst) + 1;
   if code = 0 then (Obj.obj fn : unit -> unit) ()
-  else if code = 1 then begin
-    if Thread.Frame.claim (Obj.obj ctx) gen then (Obj.obj fn : Obj.t -> unit) arg
-    else stale_reply t k ~dst
+  else if code = 2 then deliver_payload t k ~dst ~words arg
+  else if Thread.Frame.claim (Obj.obj ctx) gen then (Obj.obj fn : Obj.t -> unit) arg
+  else begin
+    stale_reply t k ~dst;
+    if code = 3 then k.stale_fn arg
   end
-  else deliver_payload t k ~dst ~words arg
 
 (* The delay leg of a fault-delayed delivery: at network arrival the
    slot waits [delay_cycles] more on a cancellable timer, so timeout and
@@ -322,8 +333,11 @@ let af_arrive t slot =
 let post_delayed t k ~src ~dst ~words slot =
   let extra = match fault_spec t k with Some f -> f.delay_cycles | None -> 0 in
   Network.send_k t.net ~src ~dst ~words ~kind:k.net_k (fun () ->
-      let tok = Sim.timer t.sim ~delay:extra (fun () -> af_arrive t slot) in
-      t.delay_timers <- (tok, slot) :: t.delay_timers)
+      t.af_timer.(slot) <-
+        Some
+          (Sim.timer t.sim ~delay:extra (fun () ->
+               t.af_timer.(slot) <- None;
+               af_arrive t slot)))
 
 let post_leg t k ~src ~dst ~words ~delayed slot =
   if delayed then post_delayed t k ~src ~dst ~words slot
@@ -367,7 +381,6 @@ let create ~sim ~costs ~net ~procs ~spawn =
       fault_specs = [];
       fault_gen = 0;
       frng = Rng.create ~seed:0;
-      delay_timers = [];
       af_kind = Array.make 16 obj_unit;
       af_fn = Array.make 16 obj_unit;
       af_arg = Array.make 16 obj_unit;
@@ -376,6 +389,7 @@ let create ~sim ~costs ~net ~procs ~spawn =
       af_dst = Array.make 16 0;
       af_words = Array.make 16 0;
       af_gen = Array.make 16 0;
+      af_timer = Array.make 16 None;
       af_free = Array.init 16 (fun i -> i);
       af_free_top = 16;
       af_hid = Sim.handler sim (fun _ -> assert false);
@@ -415,23 +429,27 @@ let inject t k ~src ~dst ~words =
     post_slot t k ~src ~dst ~words ~plan
       (af_fill t k ~dst ~words ~code:0 ~fn:obj_ignore ~arg:obj_unit ~ctx:obj_unit ~gen:0)
 
+let pending_delays t =
+  Array.fold_left (fun n tok -> if Option.is_some tok then n + 1 else n) 0 t.af_timer
+
 let cancel_pending_delays t =
-  let cancelled =
-    List.fold_left
-      (fun acc (tok, slot) ->
+  let cancelled = ref 0 in
+  Array.iteri
+    (fun slot tok ->
+      match tok with
+      | None -> ()
+      | Some tok ->
+        t.af_timer.(slot) <- None;
         if Sim.cancel t.sim tok then begin
           (* The delivery will never happen: account it as dropped so
              [inflight]/[check_all_delivered] stay closed. *)
           let k : Obj.t kind = Obj.obj t.af_kind.(slot) in
           Stats.Counter.incr k.ctrs.dropped_c;
           af_release t slot;
-          acc + 1
-        end
-        else acc)
-      0 t.delay_timers
-  in
-  t.delay_timers <- [];
-  cancelled
+          incr cancelled
+        end)
+    t.af_timer;
+  !cancelled
 
 (* ------------------------------------------------------------------ *)
 (* Monadic senders                                                    *)
@@ -483,10 +501,16 @@ let send t k ~dst ~words ~code ~fn ~arg ~ctx ~gen c kont =
 let post t k ~dst ~words payload c kont =
   send t k ~dst ~words ~code:2 ~fn:obj_unit ~arg:(Obj.repr payload) ~ctx:obj_unit ~gen:0 c kont
 
-let notify_reply t k ~dst ~words ~ctx ~gen (fn : 'a -> unit) (v : 'a) c kont =
-  send t k ~dst ~words ~code:1 ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
+let send_reply t k ~code ~dst ~words ~ctx ~gen (fn : 'a -> unit) (v : 'a) c kont =
+  send t k ~dst ~words ~code ~fn:(Obj.repr fn) ~arg:(Obj.repr v)
     ~ctx:(Obj.repr (ctx : Thread.Frame.ctx))
     ~gen c kont
+
+(* A stale copy of a [notify_reply] goes to its kind's [on_stale]
+   handler (code 3).  [call]'s replies never do (code 1): one reply kind
+   carries results of every type, so no handler could be typed for it. *)
+let notify_reply t k ~dst ~words ~ctx ~gen fn v c kont =
+  send_reply t k ~code:3 ~dst ~words ~ctx ~gen fn v c kont
 
 (* --- call: full RPC ------------------------------------------------- *)
 
@@ -500,7 +524,8 @@ let notify_reply t k ~dst ~words ~ctx ~gen (fn : 'a -> unit) (v : 'a) c kont =
 let server_stub t reply ~caller ~ctx ~gen ~result_words (resume : 'r -> unit)
     (body : 'r Thread.t) : unit Thread.t =
  fun sc sk ->
-  body sc (fun r -> notify_reply t reply ~dst:caller ~words:result_words ~ctx ~gen resume r sc sk)
+  body sc (fun r ->
+      send_reply t reply ~code:1 ~dst:caller ~words:result_words ~ctx ~gen resume r sc sk)
 
 let call_cps t ~req ~reply ~dst ~args_words ~result_words body =
   let* caller = Thread.proc in

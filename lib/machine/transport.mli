@@ -113,7 +113,7 @@ val post : t -> 'a kind -> dst:int -> words:int -> 'a -> unit Thread.t
 
 val notify_reply :
   t ->
-  _ kind ->
+  'a kind ->
   dst:int ->
   words:int ->
   ctx:Thread.Frame.ctx ->
@@ -125,8 +125,16 @@ val notify_reply :
     pipeline and sends [v] to thread [ctx]'s suspension [gen]
     ({!Thread.Frame.gen}); at delivery [f v] runs if {!Thread.Frame.claim}
     admits it.  A stale reply — its suspension already resumed — is
-    counted in {!stale} and dropped under fault injection, and raises
-    [Failure] with faults off. *)
+    counted in {!stale} and dropped under fault injection (then [k]'s
+    {!on_stale} handler, if any, receives [v]), and raises [Failure]
+    with faults off. *)
+
+val on_stale : 'a kind -> ('a -> unit) -> unit
+(** [on_stale k f] makes every {!notify_reply} of [k] dropped as stale
+    run [f v] on its value, so a sender that pooled [v] can reclaim it
+    (a duplicated request's reply is otherwise the pool's last
+    reference).  Replaces any previous handler; {!call}'s replies never
+    run it. *)
 
 val call :
   t ->
@@ -219,6 +227,11 @@ val configure_faults : t -> seed:int -> (string * fault) list -> unit
 
 val clear_faults : t -> unit
 (** Disarm fault injection: no further decisions are drawn. *)
+
+val pending_delays : t -> int
+(** Fault-delayed deliveries still waiting out their extra delay: each
+    holds one arrival slot and one {!Sim.timer} until it fires or is
+    cancelled. *)
 
 val cancel_pending_delays : t -> int
 (** [cancel_pending_delays t] revokes every fault-delayed delivery that

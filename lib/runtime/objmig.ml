@@ -15,16 +15,25 @@ type 'state t = {
   call_k : unit Thread.t Transport.kind;
   forward_k : unit Thread.t Transport.kind;
   transfer_k : unit Thread.t Transport.kind;
-  reply_k : unit Transport.kind;
-  (* Pooled reply records: a reply carries an int slot holding the
-     result and the serving home, instead of a boxed [(r, home)] pair
-     inside a per-reply closure.  The caller unpacks and frees the slot
-     when its resumption runs. *)
+  reply_k : int Transport.kind;
+  (* Pooled reply records: a reply carries an int token naming the slot
+     that holds the result and the serving home, instead of a boxed
+     [(r, home)] pair inside a per-reply closure.  The caller unpacks
+     and frees the slot when its resumption runs; a stale reply's slot
+     is freed by the reply kind's stale handler.  The token also carries
+     the slot's generation, bumped when a reply claims the caller and
+     again at release, so a stale twin of a claimed reply — arriving
+     before or after the caller frees the slot — leaves it alone. *)
   mutable rs_r : Obj.t array;
   mutable rs_home : int array;
+  mutable rs_gen : int array;
   mutable rs_free : int array;
   mutable rs_free_top : int;
 }
+
+let rs_bits = 30
+
+let rs_slot token = token land ((1 lsl rs_bits) - 1)
 
 let rs_alloc t =
   if t.rs_free_top = 0 then begin
@@ -34,10 +43,13 @@ let rs_alloc t =
     Array.blit t.rs_r 0 nr 0 cap;
     let nh = Array.make ncap 0 in
     Array.blit t.rs_home 0 nh 0 cap;
+    let ng = Array.make ncap 0 in
+    Array.blit t.rs_gen 0 ng 0 cap;
     let nf = Array.make ncap 0 in
     Array.blit t.rs_free 0 nf 0 cap;
     t.rs_r <- nr;
     t.rs_home <- nh;
+    t.rs_gen <- ng;
     t.rs_free <- nf;
     for k = 0 to cap - 1 do
       t.rs_free.(k) <- cap + k
@@ -45,12 +57,27 @@ let rs_alloc t =
     t.rs_free_top <- cap
   end;
   t.rs_free_top <- t.rs_free_top - 1;
-  t.rs_free.(t.rs_free_top)
+  let slot = t.rs_free.(t.rs_free_top) in
+  slot lor (t.rs_gen.(slot) lsl rs_bits)
 
 let rs_release t slot =
   t.rs_r.(slot) <- Obj.repr 0;
+  t.rs_gen.(slot) <- t.rs_gen.(slot) + 1;
   t.rs_free.(t.rs_free_top) <- slot;
   t.rs_free_top <- t.rs_free_top + 1
+
+(* A reply claimed its caller's suspension: the caller frees the slot. *)
+let rs_claim t token =
+  let slot = rs_slot token in
+  t.rs_gen.(slot) <- t.rs_gen.(slot) + 1
+
+(* A stale reply: free its slot unless a copy of it claimed the caller,
+   which moved its generation on. *)
+let rs_release_stale t token =
+  let slot = rs_slot token in
+  if t.rs_gen.(slot) = token lsr rs_bits then rs_release t slot
+
+let outstanding_replies t = Array.length t.rs_free - t.rs_free_top
 
 let create rt space ~words_of =
   let tp = Runtime.transport rt in
@@ -63,22 +90,27 @@ let create rt space ~words_of =
   Transport.Endpoint.register_all tp ~kind:call_k (fun m -> m);
   Transport.Endpoint.register_all tp ~kind:forward_k (fun m -> m);
   Transport.Endpoint.register_all tp ~kind:transfer_k (fun m -> m);
-  {
-    rt;
-    space;
-    words_of;
-    n_procs = Machine.n_procs (Runtime.machine rt);
-    hints = Hashtbl.create 64;
-    tp;
-    call_k;
-    forward_k;
-    transfer_k;
-    reply_k = Transport.kind tp "objmig_reply";
-    rs_r = Array.make 8 (Obj.repr 0);
-    rs_home = Array.make 8 0;
-    rs_free = Array.init 8 (fun k -> k);
-    rs_free_top = 8;
-  }
+  let t =
+    {
+      rt;
+      space;
+      words_of;
+      n_procs = Machine.n_procs (Runtime.machine rt);
+      hints = Hashtbl.create 64;
+      tp;
+      call_k;
+      forward_k;
+      transfer_k;
+      reply_k = Transport.kind tp "objmig_reply";
+      rs_r = Array.make 8 (Obj.repr 0);
+      rs_home = Array.make 8 0;
+      rs_gen = Array.make 8 0;
+      rs_free = Array.init 8 (fun k -> k);
+      rs_free_top = 8;
+    }
+  in
+  Transport.on_stale t.reply_k (rs_release_stale t);
+  t
 
 let machine t = Runtime.machine t.rt
 
@@ -121,10 +153,11 @@ let rec serve t i ~caller ~ctx ~gen ~args_words ~result_words m (resume : int ->
   let here = Objspace.home t.space i in
   if here = on then
     let* r = m (Objspace.state t.space i) in
-    let slot = rs_alloc t in
+    let token = rs_alloc t in
+    let slot = rs_slot token in
     t.rs_r.(slot) <- Obj.repr r;
     t.rs_home.(slot) <- on;
-    Transport.notify_reply t.tp t.reply_k ~dst:caller ~words:result_words ~ctx ~gen resume slot
+    Transport.notify_reply t.tp t.reply_k ~dst:caller ~words:result_words ~ctx ~gen resume token
   else begin
     (* Stale home: forward the request to where the object went. *)
     Stats.incr (stats t) "objmig.forwards";
@@ -142,15 +175,18 @@ let call_cps t i ~args_words ~result_words m =
   else begin
     let target = if believed = pid then Objspace.home t.space i else believed in
     let* () = Thread.compute (Costs.send_pipeline c ~words:args_words) in
-    let* slot =
+    let* token =
      fun ctx k ->
       let gen = Thread.Frame.gen ctx in
       Thread.await
         (fun ~resume ->
           Transport.dispatch t.tp t.call_k ~src:pid ~dst:target ~words:args_words
-            (serve t i ~caller:pid ~ctx ~gen ~args_words ~result_words m resume))
+            (serve t i ~caller:pid ~ctx ~gen ~args_words ~result_words m (fun token ->
+                 rs_claim t token;
+                 resume token)))
         ctx k
     in
+    let slot = rs_slot token in
     let r = Obj.obj t.rs_r.(slot) in
     let home = t.rs_home.(slot) in
     rs_release t slot;
@@ -177,7 +213,7 @@ let om_done_step c =
 
 let om_reply_step c =
   let t : Obj.t t = Thread.Frame.getms c in
-  let slot = Thread.Frame.getm3 c in
+  let slot = rs_slot (Thread.Frame.getm3 c) in
   let r = t.rs_r.(slot) in
   let home = t.rs_home.(slot) in
   rs_release t slot;
@@ -190,10 +226,12 @@ let om_reply_step c =
     (Costs.recv_pipeline (costs t) ~words:(Thread.Frame.getm2 c) ~new_thread:false)
     om_done_step
 
-(* The reply landed: park the slot and re-enqueue the caller — the same
-   enqueue [Thread.await]'s resumption performs. *)
+(* The reply landed: claim and park the slot and re-enqueue the caller —
+   the same enqueue [Thread.await]'s resumption performs. *)
 let om_resume_step c (v : Obj.t) =
-  Thread.Frame.setm3 c (Obj.magic v : int);
+  let token : int = Obj.magic v in
+  rs_claim (Thread.Frame.getms c : Obj.t t) token;
+  Thread.Frame.setm3 c token;
   Thread.Frame.enqueue_then c om_reply_step
 
 let om_send_step c =

@@ -61,3 +61,8 @@ val forwards : 'state t -> int
 
 val object_moves : 'state t -> int
 (** Number of object migrations performed. *)
+
+val outstanding_replies : 'state t -> int
+(** Pooled reply records allocated by a serving home and not yet freed:
+    0 once a run has drained, duplicated requests included (the stale
+    reply to a duplicate frees its record on arrival). *)

@@ -8,7 +8,13 @@
    - the per-object method-site tables against the generic scope/call
      composition they fuse: identical machine digests, and for the DHT
      at least 10x fewer minor words per operation across the
-     simulation. *)
+     simulation.
+
+   The ceilings are calibrated for the default build (the release
+   profile that dune-workspace selects, compiled without -opaque).
+   Cross-module inlining removes allocations that an -opaque build still
+   makes, so a build that silently loses it fails the social_graph
+   ceiling. *)
 
 open Cm_experiments
 
@@ -25,10 +31,11 @@ let minor_words_per_run thunk =
 let cp = Scheme.Cp { hw = false; repl = false }
 
 (* (name, ceiling in minor words per run, run).  Each ceiling sits about
-   1.1x above the measured figure (2.228e4 / 6.333e5 / 1.586e5 / 2.002e4
-   on OCaml 5.1): tight enough that one extra allocation per call on a
-   hot path fails, e.g. a fresh thread context per RPC server thread
-   moves dht_zipf to 1.94e5. *)
+   1.1x above the measured figure (2.229e4 / 6.202e5 / 1.614e5 / 1.365e4
+   on OCaml 5.1, default build; an -opaque build measures 2.243e4 /
+   6.335e5 / 1.614e5 / 2.014e4): tight enough that one extra allocation
+   per call on a hot path fails, e.g. a fresh thread context per RPC
+   server thread moves dht_zipf to 1.94e5. *)
 let ceilings =
   [
     ( "fig2 CP, 32 requesters",
@@ -38,7 +45,7 @@ let ceilings =
           (Counting_run.run cp
              { Counting_run.default with requesters = 32; horizon = 60_000; warmup = 10_000 }) );
     ( "table1 CP, think 0",
-      7.0e5,
+      6.8e5,
       fun () ->
         ignore
           (Btree_run.run cp { Btree_run.default with think = 0; horizon = 60_000; warmup = 10_000 })
@@ -48,7 +55,7 @@ let ceilings =
       fun () ->
         ignore (Dht_zipf.measure ~quick:true (Cm_apps.Dht.Messaging Cm_core.Prelude.Rpc) 1.3) );
     ( "social_graph quick walk migrate",
-      2.2e4,
+      1.5e4,
       fun () ->
         ignore (Social_bench.measure ~quick:true Social_bench.Walk Cm_core.Prelude.Migrate) );
   ]

@@ -869,38 +869,58 @@ let test_objmig_remote_call () =
   Alcotest.(check int) "two messages" 2 (Network.total_messages m.Machine.net);
   Alcotest.(check int) "no forwards" 0 (Objmig.forwards om)
 
-(* Duplicated object-migration requests and replies: each call's method
-   runs twice, but the stamped reply resumes the caller once and the
-   other three replies per call are stale.  Both engines agree. *)
+(* Three object-migration calls under duplication of the kinds in
+   [dup_kinds]: results, stale replies, the digest and the reply records
+   still outstanding after the drained run. *)
+let objmig_dup_run ~dup_kinds engine =
+  let m = Machine.create ~seed:3 ~engine ~n_procs:8 ~costs () in
+  let rt = Runtime.create m in
+  let space = Objspace.create m in
+  let om = Objmig.create rt space ~words_of:(fun (_ : int ref) -> 20) in
+  let i = Objspace.register space ~home:4 (ref 0) in
+  let tp = Machine.transport m in
+  let dup = { Transport.no_fault with duplicate = 1.0 } in
+  Transport.configure_faults tp ~seed:2 (List.map (fun k -> (k, dup)) dup_kinds);
+  let results = ref [] in
+  run_thread ~on:0 m
+    (Thread.repeat 3 (fun _ ->
+         let* v =
+           Objmig.call om i ~args_words:4 ~result_words:2 (fun c ->
+               incr c;
+               Thread.return !c)
+         in
+         results := v :: !results;
+         Thread.return ()));
+  Transport.check_all_delivered tp;
+  (!results, Transport.stale tp "objmig_reply", Machine.digest m, Objmig.outstanding_replies om)
+
+(* Duplicated requests and replies: each call's method runs twice, but
+   the stamped reply resumes the caller once and the other three replies
+   per call are stale.  A stale copy of an already-claimed reply must not
+   free its record a second time.  Both engines agree. *)
 let test_objmig_duplicate_replies () =
-  let run engine =
-    let m = Machine.create ~seed:3 ~engine ~n_procs:8 ~costs () in
-    let rt = Runtime.create m in
-    let space = Objspace.create m in
-    let om = Objmig.create rt space ~words_of:(fun (_ : int ref) -> 20) in
-    let i = Objspace.register space ~home:4 (ref 0) in
-    let tp = Machine.transport m in
-    let dup = { Transport.no_fault with duplicate = 1.0 } in
-    Transport.configure_faults tp ~seed:2 [ ("objmig_call", dup); ("objmig_reply", dup) ];
-    let results = ref [] in
-    run_thread ~on:0 m
-      (Thread.repeat 3 (fun _ ->
-           let* v =
-             Objmig.call om i ~args_words:4 ~result_words:2 (fun c ->
-                 incr c;
-                 Thread.return !c)
-           in
-           results := v :: !results;
-           Thread.return ()));
-    Transport.check_all_delivered tp;
-    (!results, Transport.stale tp "objmig_reply", Machine.digest m)
-  in
-  let results, stale, frames = run Machine.Frames in
+  let run = objmig_dup_run ~dup_kinds:[ "objmig_call"; "objmig_reply" ] in
+  let results, stale, frames, outstanding = run Machine.Frames in
   Alcotest.(check int) "each call completes once" 3 (List.length results);
   Alcotest.(check int) "three stale replies per call" 9 stale;
-  let cps_results, _, cps = run Machine.Cps in
+  Alcotest.(check int) "every reply record freed" 0 outstanding;
+  let cps_results, _, cps, cps_outstanding = run Machine.Cps in
   Alcotest.(check (list int)) "same results" cps_results results;
-  Alcotest.(check string) "frames digest = cps digest" cps frames
+  Alcotest.(check string) "frames digest = cps digest" cps frames;
+  Alcotest.(check int) "every reply record freed (cps)" 0 cps_outstanding
+
+(* Duplicated requests alone: the duplicate's reply record is freed when
+   that reply arrives stale, on either engine. *)
+let test_objmig_duplicate_requests_free_records () =
+  List.iter
+    (fun engine ->
+      let results, stale, _, outstanding =
+        objmig_dup_run ~dup_kinds:[ "objmig_call" ] engine
+      in
+      Alcotest.(check int) "each call completes once" 3 (List.length results);
+      Alcotest.(check int) "one stale reply per call" 3 stale;
+      Alcotest.(check int) "no reply record outstanding" 0 outstanding)
+    [ Machine.Frames; Machine.Cps ]
 
 let test_objmig_forwarding_then_learned () =
   let m, _, space, om = mk_objmig () in
@@ -1340,6 +1360,8 @@ let () =
         [
           Alcotest.test_case "remote call" `Quick test_objmig_remote_call;
           Alcotest.test_case "duplicate replies dropped" `Quick test_objmig_duplicate_replies;
+          Alcotest.test_case "duplicate requests free records" `Quick
+            test_objmig_duplicate_requests_free_records;
           Alcotest.test_case "forwarding then learned" `Quick test_objmig_forwarding_then_learned;
           Alcotest.test_case "pull then local" `Quick test_objmig_pull_then_local;
           Alcotest.test_case "write-shared pingpong" `Quick

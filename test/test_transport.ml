@@ -283,7 +283,9 @@ let test_cancel_pending_delays () =
   Machine.run ~until:5_000 m;
   Alcotest.(check int) "all posted" 5 (Transport.posted tp "flaky");
   Alcotest.(check int) "all stuck in the delay stage" 5 (Transport.inflight tp "flaky");
+  Alcotest.(check int) "five delays pending" 5 (Transport.pending_delays tp);
   Alcotest.(check int) "five timers revoked" 5 (Transport.cancel_pending_delays tp);
+  Alcotest.(check int) "no delay pending after the sweep" 0 (Transport.pending_delays tp);
   Alcotest.(check int) "revoked deliveries count as dropped" 5 (Transport.dropped tp "flaky");
   Transport.check_all_delivered tp;
   Alcotest.(check int) "nothing in flight" 0 (Transport.inflight_total tp);
@@ -291,6 +293,31 @@ let test_cancel_pending_delays () =
   Machine.run m;
   Alcotest.(check int) "no handler ever ran" 0 !handled;
   Alcotest.(check int) "second sweep finds nothing" 0 (Transport.cancel_pending_delays tp)
+
+(* A delayed delivery's bookkeeping ends when its timer fires: after a
+   drained run of RPCs whose requests and replies all took the delay
+   leg, nothing is pending and a sweep has nothing to revoke. *)
+let test_delayed_rpc_drains () =
+  let m = machine () in
+  let tp = Machine.transport m in
+  let req = Transport.kind tp "req" and reply = Transport.kind tp "rep" in
+  Transport.Endpoint.register_all tp ~kind:req (fun m -> m);
+  let delay = { Transport.no_fault with delay = 1.0; delay_cycles = 300 } in
+  Transport.configure_faults tp ~seed:5 [ ("req", delay); ("rep", delay) ];
+  let sum = ref 0 in
+  Machine.spawn m ~on:0
+    (Thread.repeat 10 (fun i ->
+         let* v =
+           Transport.call tp ~req ~reply ~dst:(1 + (i mod 7)) ~args_words:4 ~result_words:2
+             (Thread.return i)
+         in
+         sum := !sum + v;
+         Thread.return ()));
+  Machine.run m;
+  Alcotest.(check int) "every call returned" 45 !sum;
+  Transport.check_all_delivered tp;
+  Alcotest.(check int) "no delay pending" 0 (Transport.pending_delays tp);
+  Alcotest.(check int) "nothing to revoke" 0 (Transport.cancel_pending_delays tp)
 
 (* A reply is stamped with the suspension it answers.  Two replies to
    one suspension: the first resumes the thread, the second is stale —
@@ -381,6 +408,8 @@ let () =
           Alcotest.test_case "duplicate everything" `Quick test_duplicate_all;
           Alcotest.test_case "delay everything" `Quick test_delay_all;
           Alcotest.test_case "cancel pending delays" `Quick test_cancel_pending_delays;
+          Alcotest.test_case "delayed RPCs leave no pending delay" `Quick
+            test_delayed_rpc_drains;
           Alcotest.test_case "stale reply dropped or fatal" `Quick test_stale_reply;
           Alcotest.test_case "sanitizer catches a lost message" `Quick
             test_sanitizer_catches_lost_message;
